@@ -9,18 +9,20 @@ Three families are implemented, all built from values of the derivative:
 * mean Lipschitz norm: ``|f(0)| + sup_r (1-r)**(1-alpha) M_p(r, f')``.
 
 ``M_p(r, g)`` is the p-th integral mean over the circle of radius ``r``:
-exact uniform sampling at roots of unity (one FFT) when ``p = 2``, and
+the Parseval sum ``(sum |b_n|**2 r**(2n))**(1/2)`` when ``p = 2``, and
 adaptive quadrature in the angle otherwise; see :func:`integral_mean`.
 
 The two sup-type norms are estimated on nested dyadic ladders: level ``l``
 uses radii ``r = 1 - 2**(-j / 2**l)`` for ``j = 0 .. 12 * 2**l`` and, for
 the Bloch norm, ``max(base, 2**(6+l))`` sample angles.  Each level's grid
 contains the previous one, so the recorded refinement history is
-nondecreasing and its increments measure how well the sup has converged.
+nondecreasing (up to FFT rounding where the Bloch angle count doubles)
+and its increments measure how well the sup has converged.
 
-The Besov radial integral is singular at ``r = 1`` when ``p < 2``; the
-segment ``r > 1/2`` is integrated in a power-law variable that absorbs
-the singular factor exactly (see :func:`besov_norm`).
+The Besov norm has a closed form at ``p = 2``.  Otherwise its radial
+integral is singular at ``r = 1`` when ``p < 2``; the segment ``r > 1/2``
+is integrated in a power-law variable that absorbs the singular factor
+exactly (see :func:`besov_norm`).
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+#: coefficients per Parseval block: 0.4 MB of powers at 193 radii
+_PARSEVAL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,7 @@ class NormEstimate:
     """A norm value together with the grid it came from and its history.
 
     ``refinements`` holds the estimate after each successive grid level
-    (a single entry for quadrature-based norms); for sup-type norms the
+    (a single entry for the Besov norm); for sup-type norms the
     history is nondecreasing and ``converged`` records whether the last
     refinement step changed the value by at most the requested tolerance.
     ``grid_spec`` describes the final grid in words.
@@ -94,6 +98,19 @@ def circle_values(f: PowerSeries, r: float, m: int) -> np.ndarray:
     return np.fft.ifft(folded) * m
 
 
+def _mean_squares(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """``M_2(r, f)**2 = sum |a_n|**2 r**(2n)`` at every radius (Parseval),
+    with ``r**(2n)`` split as ``r**(2 B k) * r**(2i)`` over blocks of B."""
+    weights = np.abs(coeffs) ** 2
+    blocks = np.pad(weights, (0, -weights.size % _PARSEVAL_BLOCK))
+    blocks = blocks.reshape(-1, _PARSEVAL_BLOCK)
+    with np.errstate(under="ignore"):
+        powers = radii[:, None] ** (2.0 * np.arange(_PARSEVAL_BLOCK))
+        starts = radii[:, None] ** (
+            2.0 * _PARSEVAL_BLOCK * np.arange(len(blocks)))
+        return np.sum(starts * (powers @ blocks.T), axis=1)
+
+
 def integral_mean(f: PowerSeries, r: float, p: float, *,
                   use_derivative: bool = False) -> float:
     """p-th integral mean ``M_p(r, f)`` over the circle of radius ``r``.
@@ -101,23 +118,23 @@ def integral_mean(f: PowerSeries, r: float, p: float, *,
     With ``use_derivative`` the mean is taken of ``f'`` instead, the form
     every norm in this module consumes.
 
-    For ``p = 2`` the uniform sample mean is already exact: ``|f|**2`` on
-    the circle is a trigonometric polynomial of degree at most twice the
-    series degree, so sampling beyond that degree integrates it without
-    error.  For other ``p`` the modulus is no longer a trigonometric
-    polynomial -- and has integrable kinks wherever ``f`` vanishes near
-    the circle -- so the angle integral runs through the adaptive panel
-    scheme, which refines locally around those points.
+    For ``p = 2`` Parseval's identity gives the mean from the
+    coefficients alone, ``M_2(r, f)**2 = sum |a_n|**2 r**(2n)``.  For
+    other ``p`` the modulus is no longer a trigonometric polynomial --
+    and has integrable kinks wherever ``f`` vanishes near the circle --
+    so the angle integral runs through the adaptive panel scheme, which
+    refines locally around those points.
     """
     if not p > 0.0:
         raise ValueError("integral mean requires p > 0")
+    if not 0.0 <= r <= 1.0:
+        raise ValueError("circle radius must lie in [0, 1]")
     if use_derivative:
         f = derivative(f)
-    m = _next_pow2(max(256, 2 * f.coeffs.size))
-    samples = np.abs(circle_values(f, r, m))
     if p == 2.0:
-        return float(np.mean(samples ** 2)) ** 0.5
-    peak = float(samples.max())
+        return float(np.sqrt(_mean_squares(f.coeffs, np.array([r]))[0]))
+    m = _next_pow2(max(256, 2 * f.coeffs.size))
+    peak = float(np.abs(circle_values(f, r, m)).max())
     if peak == 0.0:
         return 0.0
     coeffs = f.coeffs
@@ -136,8 +153,11 @@ def _dyadic_radii(level: int):
     return 1.0 - 2.0 ** -exponents
 
 
-def _sup_ladder(per_radius, *, max_levels, rel_tol):
-    """Run a nested-ladder sup estimate; per_radius(r, level) -> float.
+def _sup_ladder(values, keys, *, rel_tol):
+    """Run a nested-ladder sup estimate; values(radii, keys[l]) -> array.
+
+    Level ``l``'s radii are every ``2**(k-l)``-th radius of level ``k``, so
+    a run of equal keys (Bloch angle counts) is evaluated once, at its top.
 
     All levels are evaluated: a narrow radial peak can fall between the
     points of every coarse grid, so a small increment at an early level
@@ -145,9 +165,12 @@ def _sup_ladder(per_radius, *, max_levels, rel_tol):
     final refinement step still moved the estimate.
     """
     history = []
-    for level in range(max_levels):
-        best = max(per_radius(r, level) for r in _dyadic_radii(level))
-        history.append(best)
+    for level in reversed(range(len(keys))):
+        if level == len(keys) - 1 or keys[level] != keys[level + 1]:
+            finest = level
+            vals = values(_dyadic_radii(level), keys[level])
+        history.append(float(np.max(vals[::2 ** (finest - level)])))
+    history.reverse()
     converged = bool(len(history) >= 2
                      and history[-1] - history[-2]
                      <= rel_tol * max(1.0, history[-1]))
@@ -160,16 +183,15 @@ def bloch_norm(f: PowerSeries, *, max_levels: int = 5,
     df = derivative(f)
     base_m = _next_pow2(max(256, df.coeffs.size))
 
-    def per_radius(r, level):
-        m = max(base_m, 2 ** (6 + level))
-        return (1.0 - r * r) * float(np.max(np.abs(circle_values(df, r, m))))
+    def values(radii, m):
+        return (1.0 - radii * radii) * np.array(
+            [np.max(np.abs(circle_values(df, r, m))) for r in radii])
 
-    history, converged = _sup_ladder(per_radius, max_levels=max_levels,
-                                     rel_tol=rel_tol)
+    angles = [max(base_m, 2 ** (6 + level)) for level in range(max_levels)]
+    history, converged = _sup_ladder(values, angles, rel_tol=rel_tol)
     head = abs(complex(f.coeffs[0]))
     grid = ("dyadic radial ladder, levels 0..%d; %d..%d sample angles"
-            % (max_levels - 1, max(base_m, 2 ** 6),
-               max(base_m, 2 ** (5 + max_levels))))
+            % (max_levels - 1, angles[0], angles[-1]))
     return NormEstimate(head + history[-1],
                         tuple(head + h for h in history), converged, grid)
 
@@ -177,17 +199,20 @@ def bloch_norm(f: PowerSeries, *, max_levels: int = 5,
 def mean_lipschitz_norm(f: PowerSeries, p: float, alpha: float, *,
                         max_levels: int = 5,
                         rel_tol: float = 1e-6) -> NormEstimate:
-    """Mean Lipschitz norm ``|f(0)| + sup_r (1-r)**(1-alpha) M_p(r, f')``."""
+    """Mean Lipschitz norm ``|f(0)| + sup_r (1-r)**(1-alpha) M_p(r, f')``;
+    at ``p = 2`` the means of all radii come from one Parseval sum."""
     if not p >= 1.0:
         raise ValueError("mean Lipschitz norm requires p >= 1")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("mean Lipschitz norm requires alpha in (0, 1]")
     df = derivative(f)
 
-    def per_radius(r, level):
-        return (1.0 - r) ** (1.0 - alpha) * integral_mean(df, r, p)
+    def values(radii, _):
+        means = (np.sqrt(_mean_squares(df.coeffs, radii)) if p == 2.0 else
+                 np.array([integral_mean(df, r, p) for r in radii]))
+        return (1.0 - radii) ** (1.0 - alpha) * means
 
-    history, converged = _sup_ladder(per_radius, max_levels=max_levels,
+    history, converged = _sup_ladder(values, [None] * max_levels,
                                      rel_tol=rel_tol)
     head = abs(complex(f.coeffs[0]))
     grid = ("dyadic radial ladder, levels 0..%d; full integral means"
@@ -200,15 +225,33 @@ def besov_norm(f: PowerSeries, p: float, *,
                abs_tol: float = 1e-10) -> NormEstimate:
     """Besov norm for ``p > 1`` (normalized area measure).
 
-    The radial integral is split at ``r = 1/2``; the outer part runs in
-    the variable ``v = (2(1-r))**((p-1)/3)``, which turns the endpoint
-    factor ``(1-r^2)**(p-2)`` into a smooth ``v**2``, so the panel
-    subdivision converges at every ``p > 1``.
+    At ``p = 2`` it is the closed form ``|a_0| + (sum n |a_n|**2)**(1/2)``
+    (Parseval).  Otherwise it is :func:`_besov_quadrature` to the absolute
+    tolerance ``abs_tol``, which applies only at ``p != 2``.
     """
     if not p > 1.0:
         raise ValueError(
             "besov_norm requires p > 1: the limiting exponent falls outside "
             "the family handled here")
+    if p == 2.0:
+        n = np.arange(f.coeffs.size)
+        semi = float(np.sum(n * np.abs(f.coeffs) ** 2)) ** 0.5
+        grid = "closed form (Parseval), p = 2"
+    else:
+        semi = _besov_quadrature(f, p, abs_tol)
+        grid = "adaptive radial quadrature, split at r = 1/2"
+    value = abs(complex(f.coeffs[0])) + semi
+    return NormEstimate(value, (value,), True, grid)
+
+
+def _besov_quadrature(f: PowerSeries, p: float, abs_tol: float) -> float:
+    """Besov seminorm by adaptive radial quadrature.
+
+    The radial integral is split at ``r = 1/2``; the outer part runs in
+    the variable ``v = (2(1-r))**((p-1)/3)``, which turns the endpoint
+    factor ``(1-r^2)**(p-2)`` into a smooth ``v**2``, so the panel
+    subdivision converges at every ``p > 1``.
+    """
     df = derivative(f)
 
     def means_pow(rs):
@@ -235,10 +278,7 @@ def besov_norm(f: PowerSeries, p: float, *,
     part1 = integrate_adaptive(inner, 0.0, 0.5, abs_tol=abs_tol / 2.0)
     part2 = integrate_adaptive(outer, 0.0, 1.0,
                                abs_tol=abs_tol / 2.0 * scale)
-    semi = (part1.value.real + part2.value.real / scale) ** (1.0 / p)
-    value = abs(complex(f.coeffs[0])) + semi
-    grid = "adaptive radial quadrature, split at r = 1/2"
-    return NormEstimate(value, (value,), True, grid)
+    return (part1.value.real + part2.value.real / scale) ** (1.0 / p)
 
 
 def default_z_ladder(depth: int = 12):

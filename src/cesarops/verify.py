@@ -204,8 +204,8 @@ def _bounded_sense(label: str):
 
 
 def _norm_ladder(m: RadialMeasure, p: float, s: float,
-                 config: ExperimentConfig):
-    """Shared ladder sweep: Lipschitz norms, Besov norms, Bloch norms."""
+                 config: ExperimentConfig, *, with_besov: bool):
+    """Shared ladder sweep: Lipschitz, Besov (if wanted), Bloch norms."""
     ts = config.t_ladder()
     max_degree = max(config.degree(j) for j in
                      range(1, config.ladder_depth + 1))
@@ -215,7 +215,8 @@ def _norm_ladder(m: RadialMeasure, p: float, s: float,
         f = test_function(t, p, config.degree(j))
         cf = cesaro_like(mu, f)
         lip.append(mean_lipschitz_norm(cf, s, 1.0 / s).value)
-        bes.append(besov_norm(f, p).value)
+        if with_besov:
+            bes.append(besov_norm(f, p).value)
         if config.include_bloch:
             blo.append(bloch_norm(cf).value)
     return ts, mu, lip, bes, blo
@@ -242,7 +243,7 @@ def boundedness_experiment(m: RadialMeasure, p: float, s: float,
     q = _conjugate(p)
     if not s > 1.0:
         raise ValueError("boundedness_experiment requires s > 1")
-    ts, mu, lip, bes, blo = _norm_ladder(m, p, s, config)
+    ts, mu, lip, bes, blo = _norm_ladder(m, p, s, config, with_besov=True)
     ratios = tuple(n / d for n, d in zip(lip, bes))
     bloch_ratios = tuple(n / d for n, d in zip(blo, bes))
 
@@ -300,7 +301,7 @@ def compactness_experiment(m: RadialMeasure, p: float, s: float,
     q = _conjugate(p)
     if not s > 1.0:
         raise ValueError("compactness_experiment requires s > 1")
-    ts, mu, lip, bes, blo = _norm_ladder(m, p, s, config)
+    ts, mu, lip, _, blo = _norm_ladder(m, p, s, config, with_besov=False)
     norms = tuple(lip)
     bloch_ratios = tuple(blo)
 

@@ -8,6 +8,7 @@ norms against functions whose extremal radius is known exactly.
 """
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -25,6 +26,7 @@ from cesarops.norms import (
     integral_mean,
     mean_lipschitz_norm,
 )
+from cesarops.norms import _besov_quadrature, _dyadic_radii, _next_pow2
 from cesarops.series import PowerSeries, derivative, log_series
 
 from conftest import random_series
@@ -35,6 +37,19 @@ def brute_mean(f, r, p, m=1 << 16):
     theta = np.arange(m) * (2.0 * math.pi / m)
     vals = np.abs(npoly.polyval(r * np.exp(1j * theta), f.coeffs))
     return float(np.mean(vals ** p)) ** (1.0 / p)
+
+
+def closed_form_besov_p2(coeffs):
+    """``|a_0| + (sum n |a_n|**2)**(1/2)``, summed exactly by fsum."""
+    return abs(complex(coeffs[0])) + math.sqrt(math.fsum(
+        n * abs(complex(a)) ** 2 for n, a in enumerate(coeffs)))
+
+
+def brute_ladder(per_radius, max_levels=5):
+    """Per-level sup over every radius of ``_dyadic_radii(level)``, with
+    no sharing of evaluations between levels."""
+    return [max(per_radius(r, level) for r in _dyadic_radii(level))
+            for level in range(max_levels)]
 
 
 # ----------------------------------------------------------------- samples
@@ -61,6 +76,17 @@ def test_mean_square_matches_coefficient_sum(rng):
                                       * r ** (2 * n - 2))))
         got = integral_mean(f, r, 2.0, use_derivative=True)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_mean_square_matches_sampled_circle_mean(rng):
+    # |f|**2 on the circle is a trigonometric polynomial of degree 2 deg,
+    # so the uniform mean over m >= 2 deg + 1 angles is exact.
+    f = random_series(rng, 300)
+    m = 1024
+    for r in (0.0, 0.5, 1.0 - 2.0 ** -10, 1.0):
+        sampled = math.sqrt(float(np.mean(
+            np.abs(circle_values(f, r, m)) ** 2)))
+        assert integral_mean(f, r, 2.0) == pytest.approx(sampled, rel=1e-13)
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -106,6 +132,46 @@ def test_bloch_norm_of_truncated_logarithm():
     # truncation reproduces it to three decimals.
     est = bloch_norm(log_series(16384))
     assert abs(est.value - 2.0) <= 1e-3
+
+
+def test_bloch_history_equals_per_level_brute_maximum(rng):
+    # Degree 40 keeps the angle count at 256 for levels 0-2 and doubles
+    # it at levels 3 and 4, so both the shared and the re-evaluated
+    # levels are exercised.
+    f = random_series(rng, 40)
+    df = derivative(f)
+    base_m = _next_pow2(max(256, df.coeffs.size))
+
+    def per_radius(r, level):
+        m = max(base_m, 2 ** (6 + level))
+        return (1.0 - r * r) * float(np.max(np.abs(circle_values(df, r, m))))
+
+    head = abs(complex(f.coeffs[0]))
+    want = tuple(head + h for h in brute_ladder(per_radius))
+    assert bloch_norm(f).refinements == want
+
+
+def test_mean_lipschitz_p2_history_matches_per_level_brute_maximum(rng):
+    f = random_series(rng, 700)
+    df = derivative(f)
+    alpha = 0.5
+    want = brute_ladder(lambda r, level: (1.0 - r) ** (1.0 - alpha)
+                        * integral_mean(df, r, 2.0))
+    got = mean_lipschitz_norm(f, 2.0, alpha).refinements
+    head = abs(complex(f.coeffs[0]))
+    for g, w in zip(got, want, strict=True):
+        assert g == pytest.approx(head + w, rel=1e-13)
+
+
+def test_mean_lipschitz_p3_history_equals_per_level_brute_maximum(rng):
+    f = random_series(rng, 16)
+    df = derivative(f)
+    alpha = 1.0 / 3.0
+    want = brute_ladder(lambda r, level: (1.0 - r) ** (1.0 - alpha)
+                        * integral_mean(df, r, 3.0))
+    head = abs(complex(f.coeffs[0]))
+    assert mean_lipschitz_norm(f, 3.0, alpha).refinements == tuple(
+        head + w for w in want)
 
 
 def test_mean_lipschitz_of_identity_is_one():
@@ -160,6 +226,29 @@ def test_besov_norm_matches_mpmath_radial_integral(p):
     assert est.value == pytest.approx(0.3 + brute, rel=1e-8)
 
 
+def test_besov_norm_at_p2_is_the_closed_form_without_quadrature():
+    # This input once kept the p = 2 radial quadrature bisecting for
+    # over 25 s: abs_tol = 1e-10 lies below the integrand's rounding
+    # floor.  At p = 2 no quadrature runs any more.
+    f = PowerSeries(30 * np.random.default_rng(1).standard_normal(40))
+    start = time.perf_counter()
+    est = besov_norm(f, 2.0)
+    assert time.perf_counter() - start < 1.0
+    assert est.value == pytest.approx(closed_form_besov_p2(f.coeffs),
+                                      rel=1e-12)
+    assert est.grid_spec == "closed form (Parseval), p = 2"
+
+
+def test_besov_quadrature_at_p2_matches_closed_form(rng):
+    # The p != 2 route, run where the closed form is known.  Its
+    # absolute tolerance is set relative to the size of the integral.
+    f = random_series(rng, 256)
+    want = closed_form_besov_p2(f.coeffs)
+    head = abs(complex(f.coeffs[0]))
+    got = head + _besov_quadrature(f, 2.0, 1e-12 * (want - head) ** 2)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
 def test_besov_norm_rejects_exponent_one():
     with pytest.raises(ValueError):
         besov_norm(PowerSeries([0.0, 1.0]), 1.0)
@@ -204,6 +293,19 @@ def test_integral_mean_is_nondecreasing_in_radius(seed, r_lo, step):
     lo = integral_mean(f, r_lo, 2.0)
     hi = integral_mean(f, r_lo + step, 2.0)
     assert hi >= lo - 1e-12 * max(1.0, hi)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), degree=st.integers(1, 80),
+       scale=st.floats(1e-3, 1e3))
+def test_sup_ladder_histories_are_nondecreasing(seed, degree, scale):
+    f = random_series(np.random.default_rng(seed), degree, scale)
+    history = mean_lipschitz_norm(f, 2.0, 0.5).refinements
+    assert all(b >= a for a, b in zip(history, history[1:]))
+    # Where the Bloch angle count doubles, the shared sample points come
+    # out of an FFT of another size and may differ in the last bits.
+    history = bloch_norm(f).refinements
+    assert all(b >= a * (1.0 - 1e-15) for a, b in zip(history, history[1:]))
 
 
 @settings(max_examples=15, deadline=None)
