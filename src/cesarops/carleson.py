@@ -30,15 +30,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from cesarops.measure import (
-    MomentSequence,
-    PointMass,
-    PowerLogDensity,
-    RadialMeasure,
-    _powerlog_cutoff,
-    tail,
-)
-from cesarops.quadrature import QuadratureError, integrate_adaptive
+from cesarops.measure import MomentSequence, RadialMeasure, tail
+from cesarops.quadrature import QuadratureError
 
 __all__ = [
     "LABEL_FINITE",
@@ -137,6 +130,17 @@ class CarlesonVerdict:
     per_criterion: dict
     agreement: bool
     criteria: tuple = field(repr=False)
+
+    def to_dict(self) -> dict:
+        """The labels and estimates, as the CLI reports them."""
+        return {
+            "per_criterion": dict(self.per_criterion),
+            "agreement": self.agreement,
+            "sup_estimate": self.sup_estimate,
+            "limit_estimate": self.limit_estimate,
+            "fitted_exponent": self.fitted_exponent,
+            "fitted_log_exponent": self.fitted_log_exponent,
+        }
 
 
 def dyadic_t_ladder(depth: int = 14):
@@ -328,55 +332,17 @@ def carleson_integral(m: RadialMeasure, a: complex, params: CarlesonParams,
     r_exp = params.r_exp
     kernel = _variant_kernel(variant, a, rho, theta)
 
+    bound_edge = (1.0 - rho) ** -theta   # bounds the kernel on [0, 1)
+    tols = []
     for comp in m.components:
-        if isinstance(comp, PowerLogDensity) and comp.c > 0.0:
-            g_eff = comp.gamma - r_exp
-            if g_eff < 0.0:
-                return float("inf")
-            if g_eff == 0.0:
-                if comp.beta <= 1.0:
-                    return float("inf")
-                raise QuadratureError(
-                    "integral converges only through the logarithmic "
-                    "factor (power exponents cancel); too slow to "
-                    "evaluate reliably")
+        size = comp.integral_bound(r_exp, bound_edge)
+        if size == math.inf:
+            return math.inf
+        tols.append(rel_tol * max(1.0, size))
 
     prefactor = (1.0 - rho) ** params.t_exp * _log_factor(rho) ** params.alpha
-    total = 0.0 + 0.0j
-    bound_edge = (1.0 - rho) ** -theta
-    for comp in m.components:
-        if isinstance(comp, PointMass):
-            if comp.w > 0.0:
-                total += (comp.w * (1.0 - comp.t0) ** -r_exp
-                          * kernel(np.array([comp.t0]))[0])
-        elif isinstance(comp, PowerLogDensity):
-            if comp.c == 0.0:
-                continue
-            g_eff = comp.gamma - r_exp
-            cut = _powerlog_cutoff(comp, decay=g_eff, prefactor=bound_edge)
-            scale = max(1.0, comp.c * bound_edge / g_eff)
-
-            def integrand(u, comp=comp, g_eff=g_eff):
-                x = -np.expm1(-u)
-                weight = comp.c * np.exp(-g_eff * u) * (1.0 + u) ** -comp.beta
-                return kernel(x) * weight
-
-            total += integrate_adaptive(integrand, 0.0, cut,
-                                        abs_tol=rel_tol * scale).value
-        else:
-            xs = np.asarray(comp.x)
-            vs = np.asarray(comp.v)
-            x_hi = comp.x[-1]
-            scale = max(1.0, float(vs.max()) * (1.0 - x_hi) ** -r_exp
-                        * bound_edge)
-
-            def integrand(x, xs=xs, vs=vs):
-                dens = np.interp(x, xs, vs, right=0.0)
-                return kernel(x) * (1.0 - x) ** -r_exp * dens
-
-            total += integrate_adaptive(integrand, 0.0, x_hi,
-                                        abs_tol=rel_tol * scale,
-                                        breakpoints=comp.x).value
+    total = sum(comp.integrate(kernel, tol, r_exp=r_exp, bound=bound_edge)
+                for comp, tol in zip(m.components, tols))
     if variant == "iv":
         return prefactor * abs(total)
     return prefactor * float(total.real)

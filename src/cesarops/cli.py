@@ -124,28 +124,17 @@ def _cmd_moments(args) -> str:
 
 
 def _verdict_to_dict(verdict) -> dict:
-    crits = []
-    for crit in verdict.criteria:
-        crits.append({
-            "criterion": crit.criterion,
-            "label": crit.label,
-            "grid": list(crit.grid),
-            "values": list(crit.values),
-            "slope": crit.trend.slope,
-            "peak": crit.trend.peak,
-            "terminal": crit.trend.terminal,
-        })
-    return {
-        "s": verdict.params.s,
-        "alpha": verdict.params.alpha,
-        "per_criterion": dict(verdict.per_criterion),
-        "agreement": verdict.agreement,
-        "sup_estimate": verdict.sup_estimate,
-        "limit_estimate": verdict.limit_estimate,
-        "fitted_exponent": verdict.fitted_exponent,
-        "fitted_log_exponent": verdict.fitted_log_exponent,
-        "criteria": crits,
-    }
+    crits = [{
+        "criterion": crit.criterion,
+        "label": crit.label,
+        "grid": list(crit.grid),
+        "values": list(crit.values),
+        "slope": crit.trend.slope,
+        "peak": crit.trend.peak,
+        "terminal": crit.trend.terminal,
+    } for crit in verdict.criteria]
+    return {"s": verdict.params.s, "alpha": verdict.params.alpha,
+            **verdict.to_dict(), "criteria": crits}
 
 
 def _cmd_classify(args) -> str:

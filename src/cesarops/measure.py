@@ -9,11 +9,33 @@ A measure is a finite mixture of three component kinds:
 * ``TabulatedDensity`` -- a piecewise-linear density sampled on a grid
   ``0 = x_0 < ... < x_K < 1`` and identically zero beyond ``x_K``.
 
-Moments ``moment(m, n) = integral of t**n dm(t)`` are computed after the
-substitution ``t = 1 - exp(-u)``, which turns the boundary concentration
-at ``t -> 1`` into plain exponential decay; the upper cutoff ``U`` is chosen
-so the neglected weight mass is below 1e-14.  ``moment_via_tail`` evaluates
-the same number through the distribution-function identity
+Every kind answers one protocol, so each measure-level function below is
+a sum or a comprehension over the components:
+
+* ``mass()`` and ``tail(t)`` -- the measure of [0, 1) and of [t, 1), in
+  closed form;
+* ``moments(ns, abs_tol)`` -- the moments ``integral of t**n`` for the
+  orders ``ns``: closed forms for atoms and tables, one shared panel grid
+  for a power-log density;
+* ``integrate(g, abs_tol, r_exp=0, bound=1)`` -- the integral of
+  ``g(t) * (1 - t)**(-r_exp)`` against the component, for a vectorized
+  kernel ``g``: an atom in closed form, a table by quadrature between its
+  grid nodes, a power-log density after the substitution
+  ``t = 1 - exp(-u)``, which turns the boundary concentration at
+  ``t -> 1`` into plain exponential decay at the rate ``gamma - r_exp``;
+  the u-cutoff leaves out less than 1e-14 of the weight times ``bound``,
+  which should bound ``|g|``, and a component that would need a cutoff
+  beyond ``u = 400`` raises ``QuadratureError`` instead of being truncated;
+* ``integral_bound(r_exp, bound)`` -- an upper bound of that integral for
+  ``|g| <= bound`` (infinite when it diverges), to scale tolerances by;
+* ``scaled(factor)`` and ``to_dict()``.
+
+``integrate`` is the one routine that integrates a kernel against a
+measure: :func:`moment`, the integral route of the operator in
+:mod:`cesarops.series` and the Carleson integrals in
+:mod:`cesarops.carleson` are all kernels handed to it.
+``moment_via_tail`` evaluates the moments through the
+distribution-function identity
 
     moment(m, n) = n * integral_0^1 tail(m, x) * x**(n-1) dx   (n >= 1)
 
@@ -25,7 +47,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import mpmath
@@ -54,6 +76,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 _MASS_CUT = 1e-14        # neglected weight mass beyond the u-space cutoff
+_MAX_CUT = 400.0         # largest u-space cutoff before a component is refused
 _ATOM_FLUSH = 1e-300     # atoms below this contribute exact zero
 
 
@@ -69,6 +92,8 @@ class PowerLogDensity:
     gamma: float
     beta: float = 0.0
 
+    kind = "power_log"
+
     def __post_init__(self):
         if not (self.c >= 0.0 and math.isfinite(self.c)):
             raise MeasureSpecError("power_log component needs c >= 0")
@@ -76,6 +101,123 @@ class PowerLogDensity:
             raise MeasureSpecError("power_log component needs gamma > 0")
         if not (self.beta >= 0.0 and math.isfinite(self.beta)):
             raise MeasureSpecError("power_log component needs beta >= 0")
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(float(d["c"]), float(d["gamma"]), float(d.get("beta", 0.0)))
+
+    def to_dict(self):
+        return {"kind": self.kind, "c": self.c, "gamma": self.gamma,
+                "beta": self.beta}
+
+    def scaled(self, factor):
+        return replace(self, c=self.c * factor)
+
+    def mass(self):
+        return self.tail(0.0)
+
+    def tail(self, t):
+        """Closed form via the incomplete gamma function.
+
+        With v = log(e/(1-t)) the tail equals
+        ``c * e**gamma * gamma**(beta-1) * Gamma(1 - beta, gamma * v)``;
+        for beta = 0 this collapses to ``c * (1-t)**gamma / gamma``.
+        """
+        return self._tail_u(-math.log1p(-t))
+
+    def _tail_u(self, u):
+        """Same tail at ``t = 1 - exp(-u)``, taken directly in ``u``.
+
+        Working in u avoids reconstituting t, which rounds to exactly 1 once
+        ``exp(-u)`` drops below machine epsilon.
+        """
+        if self.c == 0.0:
+            return 0.0
+        if self.beta == 0.0:
+            return self.c * math.exp(-self.gamma * u) / self.gamma
+        g = self.gamma
+        val = mpmath.gammainc(1.0 - self.beta, g * (1.0 + u))
+        return float(self.c * math.exp(g) * g ** (self.beta - 1.0) * val)
+
+    def _cutoff(self, decay, prefactor):
+        """Upper u-cutoff with tail mass prefactor*exp(-decay*U)/decay below
+        _MASS_CUT; a cutoff beyond _MAX_CUT raises QuadratureError."""
+        if decay <= 0.0:
+            raise QuadratureError("integrand does not decay (effective exponent <= 0)")
+        scale = max(prefactor * max(self.c, 1.0) / decay, 1e-30)
+        u = max(math.log(scale / _MASS_CUT) / decay, 4.0)
+        if u > _MAX_CUT:
+            raise QuadratureError(
+                "power_log component needs the u-cutoff %.6g, beyond the "
+                "largest supported %g (decay %.3g too slow)"
+                % (u, _MAX_CUT, decay))
+        return u
+
+    def _weight(self, u, decay):
+        return self.c * np.exp(-decay * u) * (1.0 + u) ** -self.beta
+
+    def integral_bound(self, r_exp=0.0, bound=1.0):
+        """``c * bound / (gamma - r_exp)``; infinite when the weighted
+        integral diverges, and QuadratureError when it converges only
+        through the logarithmic factor."""
+        if self.c == 0.0:
+            return 0.0
+        decay = self.gamma - r_exp
+        if decay < 0.0 or (decay == 0.0 and self.beta <= 1.0):
+            return math.inf
+        if decay == 0.0:
+            raise QuadratureError(
+                "integral converges only through the logarithmic "
+                "factor (power exponents cancel); too slow to "
+                "evaluate reliably")
+        return self.c * bound / decay
+
+    def integrate(self, g, abs_tol, *, r_exp=0.0, bound=1.0):
+        if self.c == 0.0:
+            return 0.0
+        decay = self.gamma - r_exp
+        cut = self._cutoff(decay, bound)
+
+        def integrand(u):
+            return g(-np.expm1(-u)) * self._weight(u, decay)
+
+        return integrate_adaptive(integrand, 0.0, cut, abs_tol=abs_tol).value
+
+    def moments(self, ns, abs_tol):
+        """All moments up to ``max(ns)`` on one shared panel grid, refined
+        until the whole vector is stable."""
+        if self.c == 0.0:
+            return np.zeros(len(ns))
+        n_max = int(np.max(ns))
+        cut = self._cutoff(self.gamma, 1.0)
+        xs, ws = gauss_rule(24)
+
+        def level_values(panels_per_unit):
+            n_panels = max(4, int(math.ceil(cut * panels_per_unit)))
+            edges = np.linspace(0.0, cut, n_panels + 1)
+            lo, hi = edges[:-1], edges[1:]
+            u = (lo[:, None] + (hi - lo)[:, None] * xs[None, :]).ravel()
+            w = ((hi - lo)[:, None] * ws[None, :]).ravel()
+            weight = w * self._weight(u, self.gamma)
+            t = -np.expm1(-u)
+            out = np.empty(n_max + 1)
+            out[0] = weight.sum()
+            power = np.ones_like(t)
+            for n in range(1, n_max + 1):
+                power = power * t
+                out[n] = weight @ power
+            return out
+
+        prev = level_values(2)
+        for level in (4, 8, 16):
+            cur = level_values(level)
+            delta = float(np.max(np.abs(cur - prev)))
+            prev = cur
+            if delta <= 0.25 * abs_tol:
+                return cur[ns]
+        raise QuadratureError(
+            "moment batch did not converge: achieved %.3e, requested %.3e"
+            % (delta, abs_tol), value=prev, error=delta)
 
 
 @dataclass(frozen=True)
@@ -85,11 +227,61 @@ class PointMass:
     w: float
     t0: float
 
+    kind = "point"
+
     def __post_init__(self):
         if not (self.w >= 0.0 and math.isfinite(self.w)):
             raise MeasureSpecError("point component needs w >= 0")
         if not 0.0 <= self.t0 < 1.0:
             raise MeasureSpecError("point component needs t0 in [0, 1)")
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(float(d["w"]), float(d["t0"]))
+
+    def to_dict(self):
+        return {"kind": self.kind, "w": self.w, "t0": self.t0}
+
+    def scaled(self, factor):
+        return replace(self, w=self.w * factor)
+
+    def mass(self):
+        return self.w
+
+    def tail(self, t):
+        return self.w if self.t0 >= t else 0.0
+
+    def integral_bound(self, r_exp=0.0, bound=1.0):
+        return self.w * (1.0 - self.t0) ** -r_exp * bound
+
+    def integrate(self, g, abs_tol, *, r_exp=0.0, bound=1.0):
+        if self.w == 0.0:
+            return 0.0
+        return self.w * (1.0 - self.t0) ** -r_exp * g(np.array([self.t0]))[0]
+
+    def moments(self, ns, abs_tol):
+        ns = np.asarray(ns, dtype=float)
+        if self.w == 0.0:
+            return np.zeros(len(ns))
+        if self.t0 == 0.0:
+            out = np.zeros(len(ns))
+            out[ns == 0] = self.w
+            return out
+        with np.errstate(under="ignore"):
+            vals = self.w * np.exp(ns * math.log(self.t0))
+        vals[vals < _ATOM_FLUSH] = 0.0
+        return vals
+
+
+def _pow_diff(x0, x1, k):
+    """x1**k - x0**k for integer array k, stable when both factors are tiny."""
+    k = np.asarray(k, dtype=float)
+    if x1 <= 0.0:
+        return np.zeros_like(k)
+    hi = np.exp(k * math.log(x1))
+    if x0 <= 0.0:
+        return hi
+    return hi * (-np.expm1(k * (math.log(x0) - math.log(x1))))
 
 
 @dataclass(frozen=True)
@@ -98,6 +290,8 @@ class TabulatedDensity:
 
     x: tuple
     v: tuple
+
+    kind = "table"
 
     def __post_init__(self):
         x = tuple(float(t) for t in self.x)
@@ -115,8 +309,71 @@ class TabulatedDensity:
         if any(val < 0.0 or not math.isfinite(val) for val in v):
             raise MeasureSpecError("table values must be finite and >= 0")
 
+    @classmethod
+    def from_dict(cls, d):
+        return cls(tuple(d["x"]), tuple(d["v"]))
+
+    def to_dict(self):
+        return {"kind": self.kind, "x": list(self.x), "v": list(self.v)}
+
+    def scaled(self, factor):
+        return replace(self, v=tuple(val * factor for val in self.v))
+
+    def _panels(self):
+        """Per-panel linear coefficients (a, b) with density a + b*x on [x_i, x_{i+1}]."""
+        x = np.asarray(self.x)
+        v = np.asarray(self.v)
+        b = (v[1:] - v[:-1]) / (x[1:] - x[:-1])
+        a = v[:-1] - b * x[:-1]
+        return x, a, b
+
+    def mass(self):
+        x = np.asarray(self.x)
+        v = np.asarray(self.v)
+        return float(np.sum(0.5 * (v[1:] + v[:-1]) * (x[1:] - x[:-1])))
+
+    def tail(self, t):
+        if t >= self.x[-1]:
+            return 0.0
+        x, a, b = self._panels()
+        lo = np.maximum(x[:-1], t)
+        hi = x[1:]
+        width = np.clip(hi - lo, 0.0, None)
+        # integral of a + b*x over [lo, hi] in closed form
+        parts = a * width + 0.5 * b * (hi - lo) * (hi + lo)
+        parts[width <= 0.0] = 0.0
+        return float(parts.sum())
+
+    def integral_bound(self, r_exp=0.0, bound=1.0):
+        return max(self.v) * (1.0 - self.x[-1]) ** -r_exp * bound
+
+    def integrate(self, g, abs_tol, *, r_exp=0.0, bound=1.0):
+        xs = np.asarray(self.x)
+        vs = np.asarray(self.v)
+
+        def integrand(t):
+            val = g(t)
+            if r_exp:
+                val = val * (1.0 - t) ** -r_exp
+            return val * np.interp(t, xs, vs, right=0.0)
+
+        return integrate_adaptive(integrand, 0.0, self.x[-1], abs_tol=abs_tol,
+                                  breakpoints=self.x).value
+
+    def moments(self, ns, abs_tol):
+        """Exact moments of the piecewise-linear density against t**n."""
+        ns = np.asarray(ns)
+        x, a, b = self._panels()
+        out = np.zeros(len(ns))
+        for i in range(len(a)):
+            d1 = _pow_diff(x[i], x[i + 1], ns + 1)
+            d2 = _pow_diff(x[i], x[i + 1], ns + 2)
+            out += a[i] * d1 / (ns + 1) + b[i] * d2 / (ns + 2)
+        return out
+
 
 MeasureComponent = Union[PowerLogDensity, PointMass, TabulatedDensity]
+_KINDS = {cls.kind: cls for cls in (PowerLogDensity, PointMass, TabulatedDensity)}
 
 
 @dataclass(frozen=True)
@@ -131,7 +388,7 @@ class RadialMeasure:
         if not comps:
             raise MeasureSpecError("measure needs at least one component")
         for comp in comps:
-            if not isinstance(comp, (PowerLogDensity, PointMass, TabulatedDensity)):
+            if not isinstance(comp, tuple(_KINDS.values())):
                 raise MeasureSpecError("unknown component type %r" % (comp,))
         if not total_mass(self) > 0.0:
             raise MeasureSpecError("measure must have positive total mass")
@@ -173,216 +430,35 @@ class MomentSequence:
 
 
 # ---------------------------------------------------------------------------
-# closed-form pieces
-
-
-def _powerlog_mass(comp):
-    return _powerlog_tail(comp, 0.0)
-
-
-def _powerlog_tail(comp, t):
-    """tail of the power-log density: closed form via the incomplete gamma.
-
-    With v = log(e/(1-t)) the tail equals
-    ``c * e**gamma * gamma**(beta-1) * Gamma(1 - beta, gamma * v)``;
-    for beta = 0 this collapses to ``c * (1-t)**gamma / gamma``.
-    """
-    return _powerlog_tail_u(comp, -math.log1p(-t))
-
-
-def _powerlog_tail_u(comp, u):
-    """Same tail at ``t = 1 - exp(-u)``, taken directly in ``u``.
-
-    Working in u avoids reconstituting t, which rounds to exactly 1 once
-    ``exp(-u)`` drops below machine epsilon.
-    """
-    if comp.c == 0.0:
-        return 0.0
-    if comp.beta == 0.0:
-        return comp.c * math.exp(-comp.gamma * u) / comp.gamma
-    g = comp.gamma
-    val = mpmath.gammainc(1.0 - comp.beta, g * (1.0 + u))
-    return float(comp.c * math.exp(g) * g ** (comp.beta - 1.0) * val)
-
-
-def _table_panels(comp):
-    """Per-panel linear coefficients (a, b) with density a + b*x on [x_i, x_{i+1}]."""
-    x = np.asarray(comp.x)
-    v = np.asarray(comp.v)
-    b = (v[1:] - v[:-1]) / (x[1:] - x[:-1])
-    a = v[:-1] - b * x[:-1]
-    return x, a, b
-
-
-def _table_mass(comp):
-    x = np.asarray(comp.x)
-    v = np.asarray(comp.v)
-    return float(np.sum(0.5 * (v[1:] + v[:-1]) * (x[1:] - x[:-1])))
-
-
-def _table_tail(comp, t):
-    if t >= comp.x[-1]:
-        return 0.0
-    x, a, b = _table_panels(comp)
-    lo = np.maximum(x[:-1], t)
-    hi = x[1:]
-    width = np.clip(hi - lo, 0.0, None)
-    # integral of a + b*x over [lo, hi] in closed form
-    parts = a * width + 0.5 * b * (hi - lo) * (hi + lo)
-    parts[width <= 0.0] = 0.0
-    return float(parts.sum())
-
-
-def _pow_diff(x0, x1, k):
-    """x1**k - x0**k for integer array k, stable when both factors are tiny."""
-    k = np.asarray(k, dtype=float)
-    if x1 <= 0.0:
-        return np.zeros_like(k)
-    hi = np.exp(k * math.log(x1))
-    if x0 <= 0.0:
-        return hi
-    return hi * (-np.expm1(k * (math.log(x0) - math.log(x1))))
-
-
-def _table_moments(comp, ns):
-    """Exact moments of the piecewise-linear density against t**n."""
-    ns = np.asarray(ns)
-    x, a, b = _table_panels(comp)
-    out = np.zeros(len(ns))
-    for i in range(len(a)):
-        d1 = _pow_diff(x[i], x[i + 1], ns + 1)
-        d2 = _pow_diff(x[i], x[i + 1], ns + 2)
-        out += a[i] * d1 / (ns + 1) + b[i] * d2 / (ns + 2)
-    return out
-
-
-def _atom_moments(comp, ns):
-    ns = np.asarray(ns, dtype=float)
-    if comp.w == 0.0:
-        return np.zeros(len(ns))
-    if comp.t0 == 0.0:
-        out = np.zeros(len(ns))
-        out[ns == 0] = comp.w
-        return out
-    with np.errstate(under="ignore"):
-        vals = comp.w * np.exp(ns * math.log(comp.t0))
-    vals[vals < _ATOM_FLUSH] = 0.0
-    return vals
-
-
-# ---------------------------------------------------------------------------
-# power-log quadrature in u-space, t = 1 - exp(-u)
-
-
-def _powerlog_cutoff(comp, *, decay=None, prefactor=1.0, tol=_MASS_CUT):
-    """Upper u-cutoff with tail mass prefactor*exp(-decay*U)/decay below tol."""
-    g = comp.gamma if decay is None else decay
-    if g <= 0.0:
-        raise QuadratureError("integrand does not decay (effective exponent <= 0)")
-    scale = max(prefactor * max(comp.c, 1.0) / g, 1e-30)
-    u = math.log(scale / tol) / g
-    return min(max(u, 4.0), 400.0)
-
-
-def _powerlog_weight(comp, u):
-    return comp.c * np.exp(-comp.gamma * u) * (1.0 + u) ** (-comp.beta)
-
-
-def _powerlog_moment(comp, n, abs_tol):
-    if comp.c == 0.0:
-        return 0.0
-    cut = _powerlog_cutoff(comp)
-
-    def integrand(u):
-        t = -np.expm1(-u)
-        with np.errstate(under="ignore"):
-            tn = np.exp(n * np.log(np.maximum(t, 1e-320))) if n else np.ones_like(u)
-        return tn * _powerlog_weight(comp, u)
-
-    return float(integrate_adaptive(integrand, 0.0, cut, abs_tol=abs_tol).value.real)
-
-
-def _powerlog_moment_batch(comp, n_max, abs_tol):
-    """All moments 0..n_max at once on a shared refined panel grid."""
-    if comp.c == 0.0:
-        return np.zeros(n_max + 1), 0.0
-    cut = _powerlog_cutoff(comp)
-    xs, ws = gauss_rule(24)
-
-    def level_values(panels_per_unit):
-        n_panels = max(4, int(math.ceil(cut * panels_per_unit)))
-        edges = np.linspace(0.0, cut, n_panels + 1)
-        lo, hi = edges[:-1], edges[1:]
-        u = (lo[:, None] + (hi - lo)[:, None] * xs[None, :]).ravel()
-        w = ((hi - lo)[:, None] * ws[None, :]).ravel()
-        weight = w * _powerlog_weight(comp, u)
-        t = -np.expm1(-u)
-        out = np.empty(n_max + 1)
-        out[0] = weight.sum()
-        power = np.ones_like(t)
-        for n in range(1, n_max + 1):
-            power = power * t
-            out[n] = weight @ power
-        return out
-
-    prev = level_values(2)
-    for level in (4, 8, 16):
-        cur = level_values(level)
-        delta = float(np.max(np.abs(cur - prev)))
-        prev = cur
-        if delta <= 0.25 * abs_tol:
-            return cur, delta
-    raise QuadratureError(
-        "moment batch did not converge: achieved %.3e, requested %.3e"
-        % (delta, abs_tol), value=prev, error=delta)
-
-
-# ---------------------------------------------------------------------------
 # public operations
 
 
 def total_mass(m: RadialMeasure) -> float:
     """Mass of [0, 1), i.e. the moment of order zero (closed forms only)."""
-    out = 0.0
-    for comp in m.components:
-        if isinstance(comp, PowerLogDensity):
-            out += _powerlog_mass(comp)
-        elif isinstance(comp, PointMass):
-            out += comp.w
-        else:
-            out += _table_mass(comp)
-    return out
+    return sum(comp.mass() for comp in m.components)
 
 
 def tail(m: RadialMeasure, t: float) -> float:
     """Measure of the interval [t, 1)."""
     if not 0.0 <= t < 1.0:
         raise ValueError("tail requires t in [0, 1)")
-    out = 0.0
-    for comp in m.components:
-        if isinstance(comp, PowerLogDensity):
-            out += _powerlog_tail(comp, t)
-        elif isinstance(comp, PointMass):
-            out += comp.w if comp.t0 >= t else 0.0
-        else:
-            out += _table_tail(comp, t)
-    return out
+    return sum(comp.tail(t) for comp in m.components)
 
 
 def moment(m: RadialMeasure, n: int, *, abs_tol: float = DEFAULT_TOL) -> float:
     """n-th moment, integral of t**n dm(t), to absolute tolerance abs_tol."""
     if n < 0:
         raise ValueError("moment order must be >= 0")
-    out = 0.0
+
+    def power(t):
+        if not n:
+            return np.ones_like(t)
+        with np.errstate(under="ignore"):
+            return np.exp(n * np.log(np.maximum(t, 1e-320)))
+
     share = abs_tol / len(m.components)
-    for comp in m.components:
-        if isinstance(comp, PowerLogDensity):
-            out += _powerlog_moment(comp, n, share)
-        elif isinstance(comp, PointMass):
-            out += float(_atom_moments(comp, np.array([n]))[0])
-        else:
-            out += float(_table_moments(comp, np.array([n]))[0])
-    return out
+    return float(sum(comp.integrate(power, share)
+                     for comp in m.components).real)
 
 
 def moments(m: RadialMeasure, n_max: int, *,
@@ -396,16 +472,8 @@ def moments(m: RadialMeasure, n_max: int, *,
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     ns = np.arange(n_max + 1)
-    vals = np.zeros(n_max + 1)
     share = abs_tol / len(m.components)
-    for comp in m.components:
-        if isinstance(comp, PowerLogDensity):
-            batch, _ = _powerlog_moment_batch(comp, n_max, share)
-            vals += batch
-        elif isinstance(comp, PointMass):
-            vals += _atom_moments(comp, ns)
-        else:
-            vals += _table_moments(comp, ns)
+    vals = sum(comp.moments(ns, share) for comp in m.components)
     return MomentSequence(vals, n_max, abs_tol).validate()
 
 
@@ -422,13 +490,13 @@ def moment_via_tail(m: RadialMeasure, n: int, *,
     share = abs_tol / len(m.components)
     for comp in m.components:
         if isinstance(comp, PowerLogDensity):
-            cut = _powerlog_cutoff(comp, prefactor=float(n))
+            cut = comp._cutoff(comp.gamma, float(n))
 
             def integrand(u, comp=comp):
                 x = -np.expm1(-u)
                 with np.errstate(under="ignore"):
                     xn = np.exp((n - 1) * np.log(np.maximum(x, 1e-320)))
-                tails = np.array([_powerlog_tail_u(comp, ui) for ui in u])
+                tails = np.array([comp._tail_u(ui) for ui in u])
                 return n * xn * tails * np.exp(-u)
 
             out += float(integrate_adaptive(integrand, 0.0, cut,
@@ -452,7 +520,7 @@ def moment_via_tail(m: RadialMeasure, n: int, *,
             def integrand(x, comp=comp):
                 with np.errstate(under="ignore"):
                     xn = np.exp((n - 1) * np.log(np.maximum(x, 1e-320)))
-                tails = np.array([_table_tail(comp, xi) for xi in x])
+                tails = np.array([comp.tail(xi) for xi in x])
                 return n * xn * tails
 
             out += float(integrate_adaptive(integrand, 0.0, x_hi,
@@ -465,15 +533,7 @@ def scale_measure(m: RadialMeasure, factor: float) -> RadialMeasure:
     """The measure factor * m (factor > 0)."""
     if not factor > 0.0:
         raise ValueError("scale factor must be positive")
-    comps = []
-    for comp in m.components:
-        if isinstance(comp, PowerLogDensity):
-            comps.append(PowerLogDensity(comp.c * factor, comp.gamma, comp.beta))
-        elif isinstance(comp, PointMass):
-            comps.append(PointMass(comp.w * factor, comp.t0))
-        else:
-            comps.append(TabulatedDensity(comp.x, tuple(v * factor for v in comp.v)))
-    return RadialMeasure(tuple(comps))
+    return RadialMeasure(tuple(comp.scaled(factor) for comp in m.components))
 
 
 # ---------------------------------------------------------------------------
@@ -491,35 +551,20 @@ def measure_from_dict(spec) -> RadialMeasure:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise MeasureSpecError("component entries need a 'kind' field")
         kind = entry["kind"]
+        cls = _KINDS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise MeasureSpecError("unknown component kind %r" % (kind,))
         try:
-            if kind == "power_log":
-                comps.append(PowerLogDensity(float(entry["c"]),
-                                             float(entry["gamma"]),
-                                             float(entry.get("beta", 0.0))))
-            elif kind == "point":
-                comps.append(PointMass(float(entry["w"]), float(entry["t0"])))
-            elif kind == "table":
-                comps.append(TabulatedDensity(tuple(entry["x"]), tuple(entry["v"])))
-            else:
-                raise MeasureSpecError("unknown component kind %r" % kind)
+            comps.append(cls.from_dict(entry))
+        except MeasureSpecError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, MeasureSpecError):
-                raise
             raise MeasureSpecError("bad component %r: %s" % (entry, exc)) from exc
     return RadialMeasure(tuple(comps))
 
 
 def measure_to_dict(m: RadialMeasure) -> dict:
-    out = []
-    for comp in m.components:
-        if isinstance(comp, PowerLogDensity):
-            out.append({"kind": "power_log", "c": comp.c,
-                        "gamma": comp.gamma, "beta": comp.beta})
-        elif isinstance(comp, PointMass):
-            out.append({"kind": "point", "w": comp.w, "t0": comp.t0})
-        else:
-            out.append({"kind": "table", "x": list(comp.x), "v": list(comp.v)})
-    return {"components": out}
+    return {"components": [comp.to_dict() for comp in m.components]}
 
 
 def load_measure(path) -> RadialMeasure:

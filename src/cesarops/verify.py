@@ -132,7 +132,6 @@ class VerificationReport:
             if self.bloch_ratios:
                 entry["bloch_ratio"] = self.bloch_ratios[i]
             ladder.append(entry)
-        cl = self.classifier
         return {
             "theorem": self.theorem,
             "measure": self.measure,
@@ -142,14 +141,7 @@ class VerificationReport:
             "ladder": ladder,
             "lower_bound": [{"N": n, "L_N": v} for n, v in
                             zip(self.lower_ns, self.lower_values)],
-            "classifier": {
-                "per_criterion": dict(cl.per_criterion),
-                "agreement": cl.agreement,
-                "sup_estimate": cl.sup_estimate,
-                "limit_estimate": cl.limit_estimate,
-                "fitted_exponent": cl.fitted_exponent,
-                "fitted_log_exponent": cl.fitted_log_exponent,
-            },
+            "classifier": self.classifier.to_dict(),
             "trends": {name: fit.label for name, fit in
                        self.trend_fits.items()},
             "verdict": self.verdict,
@@ -203,29 +195,88 @@ def _bounded_sense(label: str):
     return None
 
 
-def _norm_ladder(m: RadialMeasure, p: float, s: float,
-                 config: ExperimentConfig, *, with_besov: bool):
-    """Shared ladder sweep: Lipschitz, Besov (if wanted), Bloch norms."""
-    ts = config.t_ladder()
-    max_degree = max(config.degree(j) for j in
-                     range(1, config.ladder_depth + 1))
-    mu = compute_moments(m, max(max_degree, config.classifier_n_max))
-    lip, bes, blo = [], [], []
-    for j, t in enumerate(ts, start=1):
-        f = test_function(t, p, config.degree(j))
-        cf = cesaro_like(mu, f)
-        lip.append(mean_lipschitz_norm(cf, s, 1.0 / s).value)
-        if with_besov:
-            bes.append(besov_norm(f, p).value)
-        if config.include_bloch:
-            blo.append(bloch_norm(cf).value)
-    return ts, mu, lip, bes, blo
-
-
 def _sliced_moments(mu: MomentSequence, n_max: int) -> MomentSequence:
     if mu.n_max == n_max:
         return mu
     return MomentSequence(mu.values[:n_max + 1], n_max, mu.abs_tolerance)
+
+
+def _boundedness_verdict(ts, ratios, trends, label, p):
+    """Verdict and consistency rule of :func:`boundedness_experiment`."""
+    ratio_sense = _bounded_sense(trends["ratio"].label)
+    lower_sense = _bounded_sense(trends["lower_bound"].label)
+    if ratio_sense is False or lower_sense is False:
+        verdict = VERDICT_NOT_BOUNDED
+    elif ratio_sense and lower_sense:
+        verdict = VERDICT_BOUNDED
+    else:
+        verdict = VERDICT_INCONCLUSIVE
+    senses = (ratio_sense, lower_sense, _bounded_sense(label))
+    return verdict, None not in senses and len(set(senses)) == 1
+
+
+def _compactness_verdict(ts, norms, trends, label, p):
+    """Verdict and consistency rule of :func:`compactness_experiment`."""
+    tail4 = norms[-4:]
+    decayed = (all(b <= a for a, b in zip(tail4, tail4[1:]))
+               and (norms[-1] == 0.0
+                    or decay_exponent(ts, norms, p) < DECAY_EXPONENT_TOL))
+    if label == LABEL_INCONCLUSIVE:
+        return VERDICT_INCONCLUSIVE, False
+    says_vanishing = label == LABEL_VANISHING
+    verdict = (VERDICT_COMPACT if says_vanishing and decayed
+               else VERDICT_NOT_COMPACT)
+    return verdict, says_vanishing == decayed
+
+
+def _experiment(theorem, m, p, s, config, rule):
+    """The sweep both theorems share: the norm ladder of the test family,
+    the lower-bound statistic and the classifier at ``(1, 1/q)``, judged
+    by ``rule(ts, ladder, trends, classifier_label, p)``.
+
+    The boundedness ladder divides each image norm by the Besov norm of
+    its test function; the compactness ladder keeps the raw norms.
+    """
+    q = _conjugate(p)
+    if not s > 1.0:
+        raise ValueError("%s_experiment requires s > 1" % theorem)
+    ratio = theorem == "boundedness"
+    ts = config.t_ladder()
+    max_degree = max(config.degree(j) for j in
+                     range(1, config.ladder_depth + 1))
+    mu = compute_moments(m, max(max_degree, config.classifier_n_max))
+    ladder, bloch = [], []
+    for j, t in enumerate(ts, start=1):
+        f = test_function(t, p, config.degree(j))
+        cf = cesaro_like(mu, f)
+        size = besov_norm(f, p).value if ratio else 1.0
+        ladder.append(mean_lipschitz_norm(cf, s, 1.0 / s).value / size)
+        if config.include_bloch:
+            bloch.append(bloch_norm(cf).value / size)
+    ladder, bloch = tuple(ladder), tuple(bloch)
+
+    lower_ns = tuple(2 ** k for k in range(2, config.lower_depth + 1))
+    mu_low = _sliced_moments(mu, config.classifier_n_max)
+    lower_values = tuple(lower_bound_statistic(mu_low, p, n)
+                         for n in lower_ns)
+
+    classifier = classify_measure(m, CarlesonParams(1.0, 1.0 / q),
+                                  n_max=config.classifier_n_max, mu=mu_low)
+
+    trends = {
+        "ratio": trend_label(ladder),
+        "lower_bound": trend_label(lower_values),
+    }
+    if bloch:
+        trends["bloch_ratio"] = trend_label(bloch)
+    verdict, consistent = rule(ts, ladder, trends,
+                               _classifier_label(classifier), p)
+
+    return VerificationReport(
+        theorem=theorem, measure=measure_to_dict(m), p=p, s=s, q=q,
+        t_ladder=ts, ratios=ladder, bloch_ratios=bloch,
+        lower_ns=lower_ns, lower_values=lower_values, trend_fits=trends,
+        classifier=classifier, verdict=verdict, consistent=consistent)
 
 
 def boundedness_experiment(m: RadialMeasure, p: float, s: float,
@@ -239,47 +290,8 @@ def boundedness_experiment(m: RadialMeasure, p: float, s: float,
     stay tame, and "inconclusive" otherwise; the consistency flag
     records whether classifier and ladders tell the same story.
     """
-    config = config or ExperimentConfig()
-    q = _conjugate(p)
-    if not s > 1.0:
-        raise ValueError("boundedness_experiment requires s > 1")
-    ts, mu, lip, bes, blo = _norm_ladder(m, p, s, config, with_besov=True)
-    ratios = tuple(n / d for n, d in zip(lip, bes))
-    bloch_ratios = tuple(n / d for n, d in zip(blo, bes))
-
-    lower_ns = tuple(2 ** k for k in range(2, config.lower_depth + 1))
-    mu_low = _sliced_moments(mu, config.classifier_n_max)
-    lower_values = tuple(lower_bound_statistic(mu_low, p, n)
-                         for n in lower_ns)
-
-    classifier = classify_measure(m, CarlesonParams(1.0, 1.0 / q),
-                                  n_max=config.classifier_n_max, mu=mu_low)
-
-    trends = {
-        "ratio": trend_label(ratios),
-        "lower_bound": trend_label(lower_values),
-    }
-    if bloch_ratios:
-        trends["bloch_ratio"] = trend_label(bloch_ratios)
-
-    ratio_sense = _bounded_sense(trends["ratio"].label)
-    lower_sense = _bounded_sense(trends["lower_bound"].label)
-    if ratio_sense is False or lower_sense is False:
-        verdict = VERDICT_NOT_BOUNDED
-    elif ratio_sense and lower_sense:
-        verdict = VERDICT_BOUNDED
-    else:
-        verdict = VERDICT_INCONCLUSIVE
-
-    class_sense = _bounded_sense(_classifier_label(classifier))
-    senses = (ratio_sense, lower_sense, class_sense)
-    consistent = None not in senses and len(set(senses)) == 1
-
-    return VerificationReport(
-        theorem="boundedness", measure=measure_to_dict(m), p=p, s=s, q=q,
-        t_ladder=ts, ratios=ratios, bloch_ratios=bloch_ratios,
-        lower_ns=lower_ns, lower_values=lower_values, trend_fits=trends,
-        classifier=classifier, verdict=verdict, consistent=consistent)
+    return _experiment("boundedness", m, p, s, config or ExperimentConfig(),
+                       _boundedness_verdict)
 
 
 def compactness_experiment(m: RadialMeasure, p: float, s: float,
@@ -297,46 +309,9 @@ def compactness_experiment(m: RadialMeasure, p: float, s: float,
     "compact-consistent" when the classifier reports a vanishing
     Carleson quotient and the ladder has decayed.
     """
-    config = config or ExperimentConfig(include_bloch=False)
-    q = _conjugate(p)
-    if not s > 1.0:
-        raise ValueError("compactness_experiment requires s > 1")
-    ts, mu, lip, _, blo = _norm_ladder(m, p, s, config, with_besov=False)
-    norms = tuple(lip)
-    bloch_ratios = tuple(blo)
-
-    lower_ns = tuple(2 ** k for k in range(2, config.lower_depth + 1))
-    mu_low = _sliced_moments(mu, config.classifier_n_max)
-    lower_values = tuple(lower_bound_statistic(mu_low, p, n)
-                         for n in lower_ns)
-
-    classifier = classify_measure(m, CarlesonParams(1.0, 1.0 / q),
-                                  n_max=config.classifier_n_max, mu=mu_low)
-
-    trends = {
-        "ratio": trend_label(norms),
-        "lower_bound": trend_label(lower_values),
-    }
-
-    tail4 = norms[-4:]
-    decayed = (all(b <= a for a, b in zip(tail4, tail4[1:]))
-               and (norms[-1] == 0.0
-                    or decay_exponent(ts, norms, p) < DECAY_EXPONENT_TOL))
-    label = _classifier_label(classifier)
-    if label == LABEL_INCONCLUSIVE:
-        verdict = VERDICT_INCONCLUSIVE
-        consistent = False
-    else:
-        says_vanishing = label == LABEL_VANISHING
-        verdict = (VERDICT_COMPACT if says_vanishing and decayed
-                   else VERDICT_NOT_COMPACT)
-        consistent = says_vanishing == decayed
-
-    return VerificationReport(
-        theorem="compactness", measure=measure_to_dict(m), p=p, s=s, q=q,
-        t_ladder=ts, ratios=norms, bloch_ratios=bloch_ratios,
-        lower_ns=lower_ns, lower_values=lower_values, trend_fits=trends,
-        classifier=classifier, verdict=verdict, consistent=consistent)
+    return _experiment("compactness", m, p, s,
+                       config or ExperimentConfig(include_bloch=False),
+                       _compactness_verdict)
 
 
 @dataclass(frozen=True)

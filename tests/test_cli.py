@@ -144,6 +144,22 @@ def test_verify_short_ladder_is_honestly_inconclusive(capsys):
     assert data["lower_bound"][0]["N"] == 4
 
 
+def test_verify_reports_the_classify_verdict(capsys):
+    # at p = 2 the classifier runs at (s, alpha) = (1, 1/q) = (1, 0.5)
+    code, out, _ = run(capsys, "verify", "--theorem", "boundedness",
+                       "--measure", "lebesgue", "--ladder-depth", "4")
+    assert code == 0
+    block = json.loads(out)["classifier"]
+    code, out, _ = run(capsys, "classify", "--measure", "lebesgue",
+                       "--s", "1", "--alpha", "0.5")
+    assert code == 0
+    verdict = json.loads(out)
+    for key in ("s", "alpha", "criteria"):
+        del verdict[key]
+    # dumped again so that NaN compares equal and key order counts
+    assert json.dumps(block) == json.dumps(verdict)
+
+
 def test_verify_agreement_matrix_over_the_catalog(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "proposition21")
     assert code == 0
@@ -187,3 +203,13 @@ def test_unreachable_tolerance_is_a_numerical_failure(capsys):
                        "--n-max", "64", "--tol", "1e-30")
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_truncated_measure_is_a_numerical_failure(capsys, tmp_path):
+    spec = tmp_path / "slow.json"
+    spec.write_text(json.dumps({"components": [
+        {"kind": "power_log", "c": 1.0, "gamma": 0.01, "beta": 0.0}]}))
+    code, out, err = run(capsys, "moments", "--measure", str(spec),
+                         "--n-max", "16")
+    assert code == 3 and out == ""
+    assert "numerical failure" in err and "u-cutoff" in err

@@ -21,6 +21,7 @@ from cesarops.measure import (
     PointMass,
     PowerLogDensity,
     RadialMeasure,
+    TabulatedDensity,
     load_measure,
     measure_from_dict,
     measure_to_dict,
@@ -31,6 +32,7 @@ from cesarops.measure import (
     tail,
     total_mass,
 )
+from cesarops.quadrature import QuadratureError
 
 LOG_ONE_MASS = 0.5963473623231941  # e * E1(1)
 
@@ -192,3 +194,64 @@ def test_powerlog_moments_decrease_and_match_tail_route(c, gamma, beta):
 def test_atom_tail_step_property(w, t0, t):
     m = RadialMeasure((PointMass(w, t0),))
     assert tail(m, t) == (w if t <= t0 else 0.0)
+
+
+# ------------------------------------------------------- component protocol
+
+
+def test_slow_power_density_is_refused_not_truncated():
+    # The u-cutoff for 1e-14 of neglected mass is about 3684 here.  It used
+    # to be clamped at 400, which returned 98.17 for a total mass of 100.
+    m = RadialMeasure((PowerLogDensity(1.0, 0.01),))
+    assert total_mass(m) == pytest.approx(100.0, rel=1e-12)
+    with pytest.raises(QuadratureError, match="u-cutoff 3684"):
+        moments(m, 16)
+    with pytest.raises(QuadratureError, match="u-cutoff"):
+        moment(m, 16)
+
+
+def test_integrate_power_density_with_r_exp_closed_form():
+    comp = PowerLogDensity(1.5, 0.8)
+    for r_exp in (0.3, 0.7):
+        value = comp.integrate(np.ones_like, 1e-13, r_exp=r_exp)
+        assert value == pytest.approx(1.5 / (0.8 - r_exp), rel=1e-11)
+        assert value <= comp.integral_bound(r_exp)
+
+
+def test_integrate_atom_with_r_exp_closed_form():
+    comp = PointMass(0.7, 0.6)
+    r_exp = 0.4
+    assert comp.integrate(np.ones_like, 1e-13, r_exp=r_exp) == (
+        0.7 * 0.4 ** -r_exp)
+    assert comp.integrate(lambda t: t ** 3, 1e-13, r_exp=r_exp) == (
+        pytest.approx(0.7 * 0.4 ** -r_exp * 0.6 ** 3, rel=1e-15))
+
+
+def test_integrate_table_with_r_exp_matches_mpmath(hat_table):
+    comp, = hat_table.components
+    assert isinstance(comp, TabulatedDensity)
+    r_exp = 0.6
+
+    def kernel(t):
+        return np.cos(3.0 * t)
+
+    def density(t):
+        return np.interp(float(t), comp.x, comp.v)
+
+    brute = mpmath.quad(lambda t: mpmath.cos(3 * t) * (1 - t) ** -r_exp
+                        * density(t), comp.x)
+    value = comp.integrate(kernel, 1e-13, r_exp=r_exp)
+    assert value == pytest.approx(float(brute), abs=1e-12)
+    assert abs(value) <= comp.integral_bound(r_exp)
+
+
+def test_integrate_monomial_reproduces_the_moments(catalog, hat_table):
+    measures = dict(catalog, hat_table=hat_table)
+    tol = 1e-13
+    for name, m in measures.items():
+        mu = moments(m, 64)
+        for n in (0, 5, 64):
+            total = sum(comp.integrate(lambda t: t ** n, tol)
+                        for comp in m.components)
+            slack = mu.abs_tolerance + tol * len(m.components)
+            assert total == pytest.approx(mu[n], abs=slack), (name, n)
