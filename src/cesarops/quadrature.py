@@ -2,10 +2,11 @@
 
 Panels are bisected until a coarse/fine comparison meets the requested
 absolute tolerance; the per-panel budget is split proportionally to panel
-length so the accumulated estimate stays below the requested bound.  All
-reductions run in a fixed left-to-right order, so results are reproducible
-bit for bit.  Integrands must accept a numpy array of abscissae and return
-an array of the same shape (real or complex).
+length so the accumulated estimate stays below the requested bound.  The
+tree is walked level by level, one integrand call per level of up to 4096
+nodes, and folded back up in tree order, so results are reproducible bit
+for bit.  Integrands must be elementwise: given an array of abscissae, they
+return an array of the same shape (real or complex).
 """
 
 from __future__ import annotations
@@ -44,9 +45,12 @@ def gauss_rule(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _panel(f, lo, hi, xs, ws):
-    y = f(lo + (hi - lo) * xs)
-    return (hi - lo) * np.dot(ws, y)
+_BLOCK = 4096  # most nodes of one depth refined in one integrand call
+
+
+def _halves(lo, hi):
+    mid = 0.5 * (lo + hi)
+    return (lo, mid), (mid, hi)
 
 
 def integrate_adaptive(f, a, b, *, abs_tol=1e-12, nodes=16, max_depth=44,
@@ -56,7 +60,7 @@ def integrate_adaptive(f, a, b, *, abs_tol=1e-12, nodes=16, max_depth=44,
     Parameters
     ----------
     f : callable
-        Vectorized integrand; may return complex values.
+        Elementwise vectorized integrand; may return complex values.
     a, b : float
         Integration limits, a <= b.
     abs_tol : float
@@ -83,27 +87,53 @@ def integrate_adaptive(f, a, b, *, abs_tol=1e-12, nodes=16, max_depth=44,
     cuts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
     length = b - a
 
-    def recurse(lo, hi, tol, depth):
-        coarse = _panel(f, lo, hi, xs, ws)
-        mid = 0.5 * (lo + hi)
-        fine = _panel(f, lo, mid, xs, ws) + _panel(f, mid, hi, xs, ws)
-        err = abs(fine - coarse)
-        if not np.isfinite(err):
-            # splitting cannot repair non-finite samples, so fail fast
-            raise QuadratureError(
-                "integrand produced non-finite values on [%g, %g]"
-                % (lo, hi), value=fine, error=float("inf"))
-        if err <= tol or depth >= max_depth:
-            return fine, err
-        lval, lerr = recurse(lo, mid, 0.5 * tol, depth + 1)
-        rval, rerr = recurse(mid, hi, 0.5 * tol, depth + 1)
-        return lval + rval, lerr + rerr
+    def panel_values(panels):
+        # one integrand call for all panels; each panel reduced on its own
+        edges = np.array(panels, dtype=float)
+        y = f((edges[:, :1] + (edges[:, 1:] - edges[:, :1]) * xs).ravel())
+        return [(hi - lo) * np.dot(ws, row)
+                for (lo, hi), row in zip(panels, np.reshape(y, (-1, nodes)))]
 
+    def refine(level, coarse, depth):
+        """(value, error) of each node (lo, hi, tol) of ``level``, a run of
+        one depth in tree order, given the coarse value of each node."""
+        halves = [h for lo, hi, _ in level for h in _halves(lo, hi)]
+        if coarse is None:  # root segments: their coarse panels ride along
+            values = panel_values([(lo, hi) for lo, hi, _ in level] + halves)
+            coarse, values = values[:len(level)], values[len(level):]
+        else:
+            values = panel_values(halves)
+        leaves, children, child_coarse = [], [], []
+        for (lo, hi, tol), c, lval, rval in zip(level, coarse, values[0::2],
+                                                values[1::2]):
+            fine = lval + rval
+            err = abs(fine - c)
+            if not np.isfinite(err):
+                # splitting cannot repair non-finite samples, so fail fast
+                raise QuadratureError(
+                    "integrand produced non-finite values on [%g, %g]"
+                    % (lo, hi), value=fine, error=float("inf"))
+            if err <= tol or depth >= max_depth:
+                leaves.append((fine, err))
+                continue
+            leaves.append(None)
+            children += [(clo, chi, 0.5 * tol) for clo, chi in _halves(lo, hi)]
+            child_coarse += [lval, rval]
+        # wide levels go block by block, so a tree that keeps splitting
+        # cannot take memory without bound
+        below = iter([r for i in range(0, len(children), _BLOCK)
+                      for r in refine(children[i:i + _BLOCK],
+                                      child_coarse[i:i + _BLOCK], depth + 1)])
+        # fold up as a depth-first recursion adds: left sum plus right sum
+        return [leaf if leaf is not None else
+                tuple(l + r for l, r in zip(next(below), next(below)))
+                for leaf in leaves]
+
+    roots = [(lo, hi, abs_tol * (hi - lo) / length)
+             for lo, hi in zip(cuts[:-1], cuts[1:])]
     value = 0.0
     err_total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        seg_tol = abs_tol * (hi - lo) / length
-        seg_val, seg_err = recurse(lo, hi, seg_tol, 0)
+    for seg_val, seg_err in refine(roots, None, 0):
         value = value + seg_val
         err_total += seg_err
 
