@@ -18,9 +18,14 @@ here so they can be played against each other:
   complex factor is treated.
 
 Finite suprema are numerically undecidable, so every criterion reduces
-to a trend fit on a dyadic ladder with fixed thresholds (see
-:func:`trend_label`); the raw ladders are always kept alongside the
-label so borderline calls can be inspected rather than trusted.
+to a trend fit on a dyadic ladder with the fixed thresholds
+``MIN_LADDER_POINTS``, ``SLOPE_BURN_IN``, ``SLOPE_TOL``, ``VANISH_RATIO``
+and ``SETTLE_FACTOR`` (see :func:`trend_label`); the raw ladders are
+always kept alongside the label so borderline calls can be inspected
+rather than trusted.  Where several labels are combined -- the integral
+probes of :func:`classify_measure` and :func:`conclusive_agreement` --
+one consensus rule applies: the label that every conclusive label shares,
+or inconclusive when there is none or they disagree.
 """
 
 from __future__ import annotations
@@ -99,7 +104,6 @@ class TrendFit:
     slope: float
     peak: float
     terminal: float
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,6 @@ class CriterionResult:
     trend: TrendFit
     fitted_exponent: float = float("nan")
     fitted_log_exponent: float = float("nan")
-    fit_residual: float = float("nan")
     subresults: tuple = ()
     note: str = ""
 
@@ -164,67 +167,52 @@ def carleson_quotient(m: RadialMeasure, t: float,
             / (1.0 - t) ** params.s)
 
 
-def trend_label(values, *, min_points: int = MIN_LADDER_POINTS,
-                slope_tol: float = SLOPE_TOL,
-                vanish_ratio: float = VANISH_RATIO,
-                burn_in: int = SLOPE_BURN_IN,
-                settle_factor: float = SETTLE_FACTOR) -> TrendFit:
+def trend_label(values) -> TrendFit:
     """Label a ladder of nonnegative values by its trend.
 
     Decision order (each rule yields to the earlier ones):
 
-    1. fewer than ``min_points`` values, or any nan -> inconclusive;
+    1. fewer than ``MIN_LADDER_POINTS`` values, or any nan -> inconclusive;
     2. any infinite value -> diverging;
     3. all values zero -> vanishing;
-    4. terminal value below ``vanish_ratio`` of the peak with the last
+    4. terminal value below ``VANISH_RATIO`` of the peak with the last
        four points nonincreasing -> vanishing (checked before the slope
        so that ladders that die exactly, like atoms past their location,
        are not misread as growth);
     5. least-squares slope of log2(values) against the ladder index,
-       after dropping the first ``burn_in`` points and any zeros,
-       above ``slope_tol`` -> diverging;
+       after dropping the first ``SLOPE_BURN_IN`` points and any zeros,
+       above ``SLOPE_TOL`` -> diverging;
     6. otherwise finite-looking, provided the last four points stay
-       within a factor ``settle_factor`` of each other; an unsettled
+       within a factor ``SETTLE_FACTOR`` of each other; an unsettled
        window is inconclusive.
     """
     vals = np.asarray(values, dtype=float)
-    if vals.size < min_points or np.any(np.isnan(vals)):
+    if vals.size < MIN_LADDER_POINTS or np.any(np.isnan(vals)):
         peak = float(np.max(vals)) if vals.size else float("nan")
         term = float(vals[-1]) if vals.size else float("nan")
-        return TrendFit(LABEL_INCONCLUSIVE, float("nan"), peak, term,
-                        float("nan"))
+        return TrendFit(LABEL_INCONCLUSIVE, float("nan"), peak, term)
     peak = float(vals.max())
     terminal = float(vals[-1])
     if np.any(np.isinf(vals)):
-        return TrendFit(LABEL_DIVERGING, float("inf"), peak, terminal,
-                        float("nan"))
+        return TrendFit(LABEL_DIVERGING, float("inf"), peak, terminal)
     if peak <= 0.0:
-        return TrendFit(LABEL_VANISHING, float("nan"), peak, terminal,
-                        float("nan"))
+        return TrendFit(LABEL_VANISHING, float("nan"), peak, terminal)
     last4 = vals[-4:]
-    if (terminal < vanish_ratio * peak
+    if (terminal < VANISH_RATIO * peak
             and np.all(last4[1:] <= last4[:-1] + 1e-300)):
-        return TrendFit(LABEL_VANISHING, float("nan"), peak, terminal,
-                        float("nan"))
-    idx = np.arange(vals.size)
+        return TrendFit(LABEL_VANISHING, float("nan"), peak, terminal)
     live = vals > 0.0
-    live[:burn_in] = False
-    slope = float("nan")
-    residual = float("nan")
-    if live.sum() >= 4:
-        x = idx[live].astype(float)
-        y = np.log2(vals[live])
-        coef = np.polyfit(x, y, 1)
-        slope = float(coef[0])
-        residual = float(np.sqrt(np.mean((np.polyval(coef, x) - y) ** 2)))
-        if slope > slope_tol:
-            return TrendFit(LABEL_DIVERGING, slope, peak, terminal, residual)
-    else:
-        return TrendFit(LABEL_INCONCLUSIVE, slope, peak, terminal, residual)
-    settled = float(last4.max()) <= settle_factor * max(float(last4.min()),
+    live[:SLOPE_BURN_IN] = False
+    if live.sum() < 4:
+        return TrendFit(LABEL_INCONCLUSIVE, float("nan"), peak, terminal)
+    slope = float(np.polyfit(np.flatnonzero(live).astype(float),
+                             np.log2(vals[live]), 1)[0])
+    if slope > SLOPE_TOL:
+        return TrendFit(LABEL_DIVERGING, slope, peak, terminal)
+    settled = float(last4.max()) <= SETTLE_FACTOR * max(float(last4.min()),
                                                         1e-300)
     label = LABEL_FINITE if settled else LABEL_INCONCLUSIVE
-    return TrendFit(label, slope, peak, terminal, residual)
+    return TrendFit(label, slope, peak, terminal)
 
 
 def classify_tail(m: RadialMeasure, params: CarlesonParams,
@@ -237,9 +225,8 @@ def classify_tail(m: RadialMeasure, params: CarlesonParams,
     return CriterionResult("tail", trend.label, ts, values, trend)
 
 
-def fit_moment_decay(mu: MomentSequence, n_lo: int = 64,
-                     n_hi: int = 8192):
-    """Two-regressor fit of ``log mu_n`` over dyadic ``n`` in [n_lo, n_hi].
+def fit_moment_decay(mu: MomentSequence):
+    """Two-regressor fit of ``log mu_n`` over dyadic ``n`` in [64, 8192].
 
     Returns ``(exponent, log_exponent, residual)`` from the least-squares
     model ``log mu_n ~ const + exponent*log(n+1) +
@@ -247,15 +234,9 @@ def fit_moment_decay(mu: MomentSequence, n_lo: int = 64,
     Entries that are not strictly positive are dropped; with fewer than
     three usable points all results are nan.
     """
-    n_hi = min(n_hi, mu.n_max)
-    ns, vals = [], []
-    j = 0
-    while 2 ** j <= n_hi:
-        n = 2 ** j
-        if n >= n_lo and mu.values[n] > 0.0:
-            ns.append(n)
-            vals.append(mu.values[n])
-        j += 1
+    ns = [2 ** j for j in range(6, 14)
+          if 2 ** j <= mu.n_max and mu.values[2 ** j] > 0.0]
+    vals = [mu.values[n] for n in ns]
     if len(ns) < 3:
         return float("nan"), float("nan"), float("nan")
     ns = np.asarray(ns, dtype=float)
@@ -283,11 +264,10 @@ def classify_moments(mu: MomentSequence,
         * math.log(n + 1.0) ** params.alpha
         for n in ns)
     trend = trend_label(values)
-    exponent, log_exponent, resid = fit_moment_decay(mu)
+    exponent, log_exponent, _ = fit_moment_decay(mu)
     return CriterionResult("moments", trend.label, ns, values, trend,
                            fitted_exponent=exponent,
-                           fitted_log_exponent=log_exponent,
-                           fit_residual=resid)
+                           fitted_log_exponent=log_exponent)
 
 
 def _variant_kernel(variant: str, a: complex, rho: float, theta: float):
@@ -307,8 +287,7 @@ def _variant_kernel(variant: str, a: complex, rho: float, theta: float):
 
 
 def carleson_integral(m: RadialMeasure, a: complex, params: CarlesonParams,
-                      variant: str = "ii", *,
-                      rel_tol: float = 1e-10) -> float:
+                      variant: str = "ii") -> float:
     """Weighted disk integral of the classification conditions.
 
     Computes ``(1-|a|)**t_exp * log(e/(1-|a|))**alpha * I`` where
@@ -338,7 +317,7 @@ def carleson_integral(m: RadialMeasure, a: complex, params: CarlesonParams,
         size = comp.integral_bound(r_exp, bound_edge)
         if size == math.inf:
             return math.inf
-        tols.append(rel_tol * max(1.0, size))
+        tols.append(1e-10 * max(1.0, size))
 
     prefactor = (1.0 - rho) ** params.t_exp * _log_factor(rho) ** params.alpha
     total = sum(comp.integrate(kernel, tol, r_exp=r_exp, bound=bound_edge)
@@ -349,18 +328,19 @@ def carleson_integral(m: RadialMeasure, a: complex, params: CarlesonParams,
 
 
 def integral_profile(m: RadialMeasure, params: CarlesonParams,
-                     variant: str = "ii", *, depth: int = 18,
-                     rays=(0.0, math.pi / 3.0, 3.0 * math.pi / 4.0)
+                     variant: str = "ii", *, depth: int = 18
                      ) -> CriterionResult:
     """Trend of the integral condition as ``|a| -> 1`` along rays.
 
     ``|a|`` runs over the dyadic ladder up to the given depth.  Variant
     ``"ii"`` depends on ``|a|`` alone, so it is profiled on the real ray
-    only; the other variants are profiled on every ray and labeled by
-    consensus (disagreeing rays yield an inconclusive overall label).
+    only; the other variants are profiled on the rays at angles 0, pi/3
+    and 3 pi/4, and the result is a ray's label only when every ray
+    reports it (an inconclusive ray makes the result inconclusive).
     """
     rhos = dyadic_t_ladder(depth)
-    use_rays = (0.0,) if variant == "ii" else tuple(rays)
+    use_rays = ((0.0,) if variant == "ii"
+                else (0.0, math.pi / 3.0, 3.0 * math.pi / 4.0))
     subresults = []
     labels = []
     note = ""
@@ -371,7 +351,7 @@ def integral_profile(m: RadialMeasure, params: CarlesonParams,
                                              variant) for rho in rhos)
         except QuadratureError as exc:
             trend = TrendFit(LABEL_INCONCLUSIVE, float("nan"), float("nan"),
-                             float("nan"), float("nan"))
+                             float("nan"))
             subresults.append(CriterionResult(
                 "integral ray phi=%.6f" % phi, LABEL_INCONCLUSIVE,
                 rhos, (), trend, note=str(exc)))
@@ -391,15 +371,13 @@ def integral_profile(m: RadialMeasure, params: CarlesonParams,
 
 def classify_measure(m: RadialMeasure, params: CarlesonParams, *,
                      tail_depth: int = 14, n_max: int = 2 ** 14,
-                     profile_depth: int = 18, variant: str = "ii",
-                     probes=None, mu: MomentSequence | None = None
+                     variant: str = "ii", mu: MomentSequence | None = None
                      ) -> CarlesonVerdict:
     """Assemble the three-way verdict for one measure and parameter set.
 
-    The integral criterion is probed at several ``(t_exp, r_exp)`` pairs
-    (default ``(1, 0)``, ``(1, s/2)``, ``(2, s/2)``) and labeled by
-    consensus among the probes, inconclusive probes excluded; conclusive
-    probes that disagree make the criterion inconclusive.
+    The integral criterion is probed at the ``(t_exp, r_exp)`` pairs
+    ``(1, 0)``, ``(1, s/2)`` and ``(2, s/2)``, each profiled to depth 18,
+    and labeled by the consensus of the probes (see :func:`_consensus`).
     """
     from cesarops.measure import moments as compute_moments
 
@@ -408,26 +386,18 @@ def classify_measure(m: RadialMeasure, params: CarlesonParams, *,
         mu = compute_moments(m, n_max)
     moments_res = classify_moments(mu, params)
 
-    if probes is None:
-        probes = ((1.0, 0.0), (1.0, params.s / 2.0), (2.0, params.s / 2.0))
+    probes = ((1.0, 0.0), (1.0, params.s / 2.0), (2.0, params.s / 2.0))
     probe_results = []
     for t_exp, r_exp in probes:
         probe_params = CarlesonParams(params.s, params.alpha, t_exp, r_exp)
-        res = integral_profile(m, probe_params, variant, depth=profile_depth)
+        res = integral_profile(m, probe_params, variant)
         res = replace(res, criterion="integral probe t_exp=%g r_exp=%g"
                       % (t_exp, r_exp))
         probe_results.append(res)
-    conclusive = [r.label for r in probe_results
-                  if r.label != LABEL_INCONCLUSIVE]
-    if not conclusive:
-        overall = LABEL_INCONCLUSIVE
-    elif len(set(conclusive)) == 1:
-        overall = conclusive[0]
-    else:
-        overall = LABEL_INCONCLUSIVE
     lead = probe_results[0]
     integral_res = CriterionResult(
-        "integral", overall, lead.grid, lead.values, lead.trend,
+        "integral", _consensus(r.label for r in probe_results),
+        lead.grid, lead.values, lead.trend,
         subresults=tuple(probe_results),
         note="; ".join(r.note for r in probe_results if r.note))
 
@@ -449,8 +419,13 @@ def classify_measure(m: RadialMeasure, params: CarlesonParams, *,
     )
 
 
+def _consensus(labels) -> str:
+    """The label that every conclusive label shares; inconclusive when
+    there is no conclusive label or two of them differ."""
+    conclusive = {lab for lab in labels if lab != LABEL_INCONCLUSIVE}
+    return conclusive.pop() if len(conclusive) == 1 else LABEL_INCONCLUSIVE
+
+
 def conclusive_agreement(verdict: CarlesonVerdict) -> bool:
     """True when all conclusive criteria agree and at least one exists."""
-    labels = [lab for lab in verdict.per_criterion.values()
-              if lab != LABEL_INCONCLUSIVE]
-    return bool(labels) and len(set(labels)) == 1
+    return _consensus(verdict.per_criterion.values()) != LABEL_INCONCLUSIVE

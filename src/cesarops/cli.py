@@ -117,8 +117,7 @@ def _csv(rows, header) -> str:
 
 def _cmd_moments(args) -> str:
     m = resolve_measure(args.measure)
-    tol = args.tol if args.tol is not None else 1e-12
-    mu = moments(m, args.n_max, abs_tol=tol)
+    mu = moments(m, args.n_max, abs_tol=args.tol)
     rows = [(n, mu.values[n], mu.abs_tolerance) for n in range(mu.n_max + 1)]
     return _csv(rows, ("n", "mu_n", "tol"))
 
@@ -172,29 +171,22 @@ def _cmd_apply(args) -> str:
 def _cmd_norm(args) -> str:
     f = resolve_function(args.function)
     kind = args.kind
+    payload = {"kind": kind}
+    if kind != "bloch":
+        payload["p"] = args.p
+    if kind == "mean-lipschitz":
+        payload["alpha"] = args.alpha
+    if kind == "growth":
+        payload["value"] = growth_ratio(f, args.p)
+        return _dump_json(payload) + "\n"
     if kind == "bloch":
         est = bloch_norm(f)
-        payload = {"kind": kind, "value": est.value,
-                   "converged": est.converged,
-                   "refinements": len(est.refinements),
-                   "grid": est.grid_spec}
     elif kind == "besov":
         est = besov_norm(f, args.p)
-        payload = {"kind": kind, "p": args.p, "value": est.value,
-                   "converged": est.converged,
-                   "refinements": len(est.refinements),
-                   "grid": est.grid_spec}
-    elif kind == "mean-lipschitz":
+    else:
         est = mean_lipschitz_norm(f, args.p, args.alpha)
-        payload = {"kind": kind, "p": args.p, "alpha": args.alpha,
-                   "value": est.value, "converged": est.converged,
-                   "refinements": len(est.refinements),
-                   "grid": est.grid_spec}
-    elif kind == "growth":
-        value = growth_ratio(f, args.p)
-        payload = {"kind": kind, "p": args.p, "value": value}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError("unknown norm kind %r" % kind)
+    payload.update(value=est.value, converged=est.converged,
+                   refinements=len(est.refinements), grid=est.grid_spec)
     return _dump_json(payload) + "\n"
 
 
@@ -241,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="measure JSON path or builtin name (%s)"
                         % ", ".join(builtin_measure_names()))
     p.add_argument("--n-max", type=int, default=256)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=1e-12,
                    help="absolute tolerance per moment (default 1e-12)")
     add_common(p)
 

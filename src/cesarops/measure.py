@@ -449,6 +449,8 @@ def moment(m: RadialMeasure, n: int, *, abs_tol: float = DEFAULT_TOL) -> float:
     """n-th moment, integral of t**n dm(t), to absolute tolerance abs_tol."""
     if n < 0:
         raise ValueError("moment order must be >= 0")
+    if not 0.0 < abs_tol < math.inf:
+        raise ValueError("abs_tol must be positive and finite")
 
     def power(t):
         if not n:
@@ -471,6 +473,8 @@ def moments(m: RadialMeasure, n_max: int, *,
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if not 0.0 < abs_tol < math.inf:
+        raise ValueError("abs_tol must be positive and finite")
     ns = np.arange(n_max + 1)
     share = abs_tol / len(m.components)
     vals = sum(comp.moments(ns, share) for comp in m.components)

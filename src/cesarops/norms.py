@@ -59,7 +59,7 @@ class NormEstimate:
     ``refinements`` holds the estimate after each successive grid level
     (a single entry for the Besov norm); for sup-type norms the
     history is nondecreasing and ``converged`` records whether the last
-    refinement step changed the value by at most the requested tolerance.
+    refinement step changed the value by at most 1e-6 relative.
     ``grid_spec`` describes the final grid in words.
     """
 
@@ -153,8 +153,10 @@ def _dyadic_radii(level: int):
     return 1.0 - 2.0 ** -exponents
 
 
-def _sup_ladder(values, keys, *, rel_tol):
-    """Run a nested-ladder sup estimate; values(radii, keys[l]) -> array.
+def _sup_ladder(f, values, keys, grid):
+    """Nested-ladder sup estimate of ``|f(0)| + sup`` over the radii of
+    :func:`_dyadic_radii`; ``values(radii, keys[l])`` gives level ``l``'s
+    weighted values and ``grid`` names the final grid.
 
     Level ``l``'s radii are every ``2**(k-l)``-th radius of level ``k``, so
     a run of equal keys (Bloch angle counts) is evaluated once, at its top.
@@ -162,7 +164,7 @@ def _sup_ladder(values, keys, *, rel_tol):
     All levels are evaluated: a narrow radial peak can fall between the
     points of every coarse grid, so a small increment at an early level
     is not evidence of convergence.  The flag reports only whether the
-    final refinement step still moved the estimate.
+    final refinement step moved the estimate by at most 1e-6 relative.
     """
     history = []
     for level in reversed(range(len(keys))):
@@ -173,12 +175,13 @@ def _sup_ladder(values, keys, *, rel_tol):
     history.reverse()
     converged = bool(len(history) >= 2
                      and history[-1] - history[-2]
-                     <= rel_tol * max(1.0, history[-1]))
-    return history, converged
+                     <= 1e-6 * max(1.0, history[-1]))
+    head = abs(complex(f.coeffs[0]))
+    return NormEstimate(head + history[-1], tuple(head + h for h in history),
+                        converged, grid)
 
 
-def bloch_norm(f: PowerSeries, *, max_levels: int = 5,
-               rel_tol: float = 1e-6) -> NormEstimate:
+def bloch_norm(f: PowerSeries, *, max_levels: int = 5) -> NormEstimate:
     """Bloch norm ``|f(0)| + sup (1 - |z|^2) |f'(z)|`` on nested grids."""
     df = derivative(f)
     base_m = _next_pow2(max(256, df.coeffs.size))
@@ -188,17 +191,13 @@ def bloch_norm(f: PowerSeries, *, max_levels: int = 5,
             [np.max(np.abs(circle_values(df, r, m))) for r in radii])
 
     angles = [max(base_m, 2 ** (6 + level)) for level in range(max_levels)]
-    history, converged = _sup_ladder(values, angles, rel_tol=rel_tol)
-    head = abs(complex(f.coeffs[0]))
-    grid = ("dyadic radial ladder, levels 0..%d; %d..%d sample angles"
-            % (max_levels - 1, angles[0], angles[-1]))
-    return NormEstimate(head + history[-1],
-                        tuple(head + h for h in history), converged, grid)
+    return _sup_ladder(f, values, angles,
+                       "dyadic radial ladder, levels 0..%d; %d..%d sample "
+                       "angles" % (max_levels - 1, angles[0], angles[-1]))
 
 
 def mean_lipschitz_norm(f: PowerSeries, p: float, alpha: float, *,
-                        max_levels: int = 5,
-                        rel_tol: float = 1e-6) -> NormEstimate:
+                        max_levels: int = 5) -> NormEstimate:
     """Mean Lipschitz norm ``|f(0)| + sup_r (1-r)**(1-alpha) M_p(r, f')``;
     at ``p = 2`` the means of all radii come from one Parseval sum."""
     if not p >= 1.0:
@@ -212,13 +211,9 @@ def mean_lipschitz_norm(f: PowerSeries, p: float, alpha: float, *,
                  np.array([integral_mean(df, r, p) for r in radii]))
         return (1.0 - radii) ** (1.0 - alpha) * means
 
-    history, converged = _sup_ladder(values, [None] * max_levels,
-                                     rel_tol=rel_tol)
-    head = abs(complex(f.coeffs[0]))
-    grid = ("dyadic radial ladder, levels 0..%d; full integral means"
-            % (max_levels - 1,))
-    return NormEstimate(head + history[-1],
-                        tuple(head + h for h in history), converged, grid)
+    return _sup_ladder(f, values, [None] * max_levels,
+                       "dyadic radial ladder, levels 0..%d; full integral "
+                       "means" % (max_levels - 1,))
 
 
 def besov_norm(f: PowerSeries, p: float, *,

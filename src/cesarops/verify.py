@@ -38,11 +38,11 @@ from cesarops.carleson import (
     LABEL_VANISHING,
     CarlesonParams,
     CarlesonVerdict,
+    _consensus,
     _log_factor,
     classify_measure,
     classify_moments,
     classify_tail,
-    conclusive_agreement,
     dyadic_t_ladder,
     trend_label,
 )
@@ -81,29 +81,25 @@ class ExperimentConfig:
     """Grids and truncations shared by the experiments.
 
     Test functions at ``t_j = 1 - 2**-j`` are truncated at degree
-    ``min(degree_factor * 2**j, degree_cap)``; the coefficient decay
+    ``min(max(8 * 2**j, 256), degree_cap)``; the coefficient decay
     ``t**k / k`` makes the dropped tail a sub-0.1% perturbation, far
     below the factor-level thresholds the trend fits use.
     """
 
     ladder_depth: int = 12
-    degree_factor: int = 8
-    degree_floor: int = 256
     degree_cap: int = 2 ** 15
     lower_depth: int = 14
     classifier_n_max: int = 2 ** 14
     include_bloch: bool = True
 
     def t_ladder(self):
-        return tuple(1.0 - 2.0 ** -j for j in
-                     range(1, self.ladder_depth + 1))
+        return dyadic_t_ladder(self.ladder_depth)[1:]
 
     def degree(self, j: int) -> int:
-        # The floor matters for atoms: the transformed coefficients then
-        # decay like t0**k regardless of t, so a short truncation at
+        # The floor of 256 matters for atoms: the transformed coefficients
+        # then decay like t0**k regardless of t, so a short truncation at
         # small j would clip real norm mass.
-        return min(max(self.degree_factor * 2 ** j, self.degree_floor),
-                   self.degree_cap)
+        return min(max(8 * 2 ** j, 256), self.degree_cap)
 
 
 @dataclass(frozen=True)
@@ -179,13 +175,6 @@ def decay_exponent(ts, norms, p: float) -> float:
     return float(np.polyfit(logs, g, 1)[0])
 
 
-def _classifier_label(verdict: CarlesonVerdict) -> str:
-    if conclusive_agreement(verdict):
-        return next(lab for lab in verdict.per_criterion.values()
-                    if lab != LABEL_INCONCLUSIVE)
-    return LABEL_INCONCLUSIVE
-
-
 def _bounded_sense(label: str):
     """Map a trend label to True (bounded), False (unbounded), or None."""
     if label in (LABEL_FINITE, LABEL_VANISHING):
@@ -240,6 +229,9 @@ def _experiment(theorem, m, p, s, config, rule):
     q = _conjugate(p)
     if not s > 1.0:
         raise ValueError("%s_experiment requires s > 1" % theorem)
+    if config.ladder_depth < 4:
+        raise ValueError("%s_experiment requires ladder_depth >= 4: the "
+                         "decay exponent fits the last four rungs" % theorem)
     ratio = theorem == "boundedness"
     ts = config.t_ladder()
     max_degree = max(config.degree(j) for j in
@@ -269,8 +261,8 @@ def _experiment(theorem, m, p, s, config, rule):
     }
     if bloch:
         trends["bloch_ratio"] = trend_label(bloch)
-    verdict, consistent = rule(ts, ladder, trends,
-                               _classifier_label(classifier), p)
+    verdict, consistent = rule(
+        ts, ladder, trends, _consensus(classifier.per_criterion.values()), p)
 
     return VerificationReport(
         theorem=theorem, measure=measure_to_dict(m), p=p, s=s, q=q,

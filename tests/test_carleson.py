@@ -18,6 +18,8 @@ from cesarops.carleson import (
     LABEL_INCONCLUSIVE,
     LABEL_VANISHING,
     CarlesonParams,
+    CarlesonVerdict,
+    _consensus,
     carleson_integral,
     carleson_quotient,
     classify_measure,
@@ -169,7 +171,7 @@ def test_fit_recovers_logarithmic_correction():
 
 def test_fit_with_too_few_points_is_nan():
     mu = synthetic_moments(lambda n: (n + 1.0) ** -1.0, n_max=64)
-    exponent, log_exponent, resid = fit_moment_decay(mu, n_lo=64)
+    exponent, log_exponent, resid = fit_moment_decay(mu)
     assert math.isnan(exponent) and math.isnan(log_exponent)
     assert math.isnan(resid)
 
@@ -300,6 +302,27 @@ def test_conclusive_agreement_requires_a_conclusive_label(catalog):
         per_criterion=inconclusive, agreement=True,
         criteria=verdict.criteria)
     assert not conclusive_agreement(stripped)
+
+
+@pytest.mark.parametrize("labels, expected", [
+    ([], LABEL_INCONCLUSIVE),
+    ([LABEL_INCONCLUSIVE] * 3, LABEL_INCONCLUSIVE),
+    ([LABEL_INCONCLUSIVE, LABEL_VANISHING, LABEL_INCONCLUSIVE],
+     LABEL_VANISHING),
+    ([LABEL_FINITE, LABEL_DIVERGING], LABEL_INCONCLUSIVE),
+    ([LABEL_FINITE, LABEL_INCONCLUSIVE, LABEL_DIVERGING], LABEL_INCONCLUSIVE),
+    ([LABEL_DIVERGING] * 3, LABEL_DIVERGING),
+    ([LABEL_FINITE, LABEL_INCONCLUSIVE, LABEL_FINITE], LABEL_FINITE),
+])
+def test_consensus_of_conclusive_labels(labels, expected):
+    assert _consensus(labels) == expected
+    assert _consensus(iter(labels)) == expected
+    nan = float("nan")
+    verdict = CarlesonVerdict(
+        params=CarlesonParams(1.0, 0.0), sup_estimate=nan,
+        limit_estimate=nan, fitted_exponent=nan, fitted_log_exponent=nan,
+        per_criterion=dict(enumerate(labels)), agreement=False, criteria=())
+    assert conclusive_agreement(verdict) == (expected != LABEL_INCONCLUSIVE)
 
 
 # ------------------------------------------------------------- properties

@@ -130,6 +130,20 @@ def test_norm_mean_lipschitz(capsys):
     assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind, keys", [
+    ("bloch", ["kind", "value", "converged", "refinements", "grid"]),
+    ("besov", ["kind", "p", "value", "converged", "refinements", "grid"]),
+    ("mean-lipschitz", ["kind", "p", "alpha", "value", "converged",
+                        "refinements", "grid"]),
+    ("growth", ["kind", "p", "value"]),
+])
+def test_norm_payload_keys_in_order(capsys, kind, keys):
+    code, out, _ = run(capsys, "norm", "--kind", kind,
+                       "--function", "identity")
+    assert code == 0
+    assert list(json.loads(out)) == keys
+
+
 # ------------------------------------------------------------------- verify
 
 
@@ -142,6 +156,17 @@ def test_verify_short_ladder_is_honestly_inconclusive(capsys):
     assert len(data["ladder"]) == 4
     assert set(data["ladder"][0]) == {"t", "ratio", "bloch_ratio"}
     assert data["lower_bound"][0]["N"] == 4
+
+
+@pytest.mark.parametrize("theorem", ["boundedness", "compactness"])
+@pytest.mark.parametrize("depth", ["0", "3"])
+def test_verify_ladder_shorter_than_four_rungs_is_an_input_error(
+        capsys, theorem, depth):
+    # the decay exponent fits the last four rungs of the ladder
+    code, out, err = run(capsys, "verify", "--theorem", theorem,
+                         "--measure", "atom09", "--ladder-depth", depth)
+    assert code == 2 and out == ""
+    assert "ladder_depth >= 4" in err
 
 
 def test_verify_reports_the_classify_verdict(capsys):
@@ -196,6 +221,18 @@ def test_missing_required_flag_exits_two(capsys):
         main(["moments"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("measure, tol", [
+    ("atom09", "-1"),      # was misreported as negative moments
+    ("atom09", "nan"),     # was accepted, printing a NaN tol column
+    ("lebesgue", "-1"),    # was misreported as a numerical failure
+])
+def test_invalid_tolerance_is_an_input_error(capsys, measure, tol):
+    code, out, err = run(capsys, "moments", "--measure", measure,
+                         "--n-max", "16", "--tol", tol)
+    assert code == 2 and out == ""
+    assert "abs_tol must be positive and finite" in err
 
 
 def test_unreachable_tolerance_is_a_numerical_failure(capsys):

@@ -177,6 +177,22 @@ def test_moment_arguments_validated(catalog):
         moments(catalog["lebesgue"], -2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(tol=st.one_of(st.floats(), st.sampled_from(
+    [-1.0, 0.0, math.nan, math.inf, 5e-324, 1e300])))
+def test_moment_tolerance_must_be_positive_and_finite(catalog, tol):
+    atom = catalog["atom09"]
+    if 0.0 < tol < math.inf:
+        assert moment(atom, 3, abs_tol=tol) == pytest.approx(0.9 ** 3)
+        assert moments(atom, 8, abs_tol=tol).abs_tolerance == tol
+        return
+    for m in (atom, catalog["lebesgue"]):
+        with pytest.raises(ValueError, match="abs_tol"):
+            moment(m, 3, abs_tol=tol)
+        with pytest.raises(ValueError, match="abs_tol"):
+            moments(m, 8, abs_tol=tol)
+
+
 @settings(max_examples=25, deadline=None)
 @given(c=st.floats(0.1, 3.0), gamma=st.floats(0.15, 3.0),
        beta=st.floats(0.0, 2.0))
