@@ -147,9 +147,10 @@ class CarlesonVerdict:
 
 
 def dyadic_t_ladder(depth: int = 14):
-    """``t_j = 1 - 2**-j`` for ``j = 0..depth``."""
-    if depth < 0:
-        raise ValueError("ladder depth must be >= 0")
+    """``t_j = 1 - 2**-j`` for ``j = 0..depth``, with ``0 <= depth <= 53``."""
+    if not 0 <= depth <= 53:
+        raise ValueError("ladder depth %d is outside 0..53: beyond j = 53, "
+                         "1 - 2**-j rounds to 1.0" % depth)
     return tuple(1.0 - 2.0 ** -j for j in range(depth + 1))
 
 
@@ -342,27 +343,21 @@ def integral_profile(m: RadialMeasure, params: CarlesonParams,
     use_rays = ((0.0,) if variant == "ii"
                 else (0.0, math.pi / 3.0, 3.0 * math.pi / 4.0))
     subresults = []
-    labels = []
     note = ""
     for phi in use_rays:
         direction = complex(math.cos(phi), math.sin(phi))
+        values, ray_note = (), ""
         try:
             values = tuple(carleson_integral(m, rho * direction, params,
                                              variant) for rho in rhos)
         except QuadratureError as exc:
-            trend = TrendFit(LABEL_INCONCLUSIVE, float("nan"), float("nan"),
-                             float("nan"))
-            subresults.append(CriterionResult(
-                "integral ray phi=%.6f" % phi, LABEL_INCONCLUSIVE,
-                rhos, (), trend, note=str(exc)))
-            labels.append(LABEL_INCONCLUSIVE)
-            note = str(exc)
-            continue
+            ray_note = note = str(exc)
         trend = trend_label(values)
         subresults.append(CriterionResult(
-            "integral ray phi=%.6f" % phi, trend.label, rhos, values, trend))
-        labels.append(trend.label)
-    overall = labels[0] if len(set(labels)) == 1 else LABEL_INCONCLUSIVE
+            "integral ray phi=%.6f" % phi, trend.label, rhos, values, trend,
+            note=ray_note))
+    labels = {sub.label for sub in subresults}
+    overall = labels.pop() if len(labels) == 1 else LABEL_INCONCLUSIVE
     lead = subresults[0]
     return CriterionResult("integral", overall, rhos, lead.values,
                            lead.trend, subresults=tuple(subresults),
@@ -378,12 +373,19 @@ def classify_measure(m: RadialMeasure, params: CarlesonParams, *,
     The integral criterion is probed at the ``(t_exp, r_exp)`` pairs
     ``(1, 0)``, ``(1, s/2)`` and ``(2, s/2)``, each profiled to depth 18,
     and labeled by the consensus of the probes (see :func:`_consensus`).
+    The probes fix their own exponents, so ``params.t_exp`` and
+    ``params.r_exp`` are not read.  The moment ladder runs to ``n_max``;
+    a precomputed ``mu`` is cut there, and a shorter one raises.
     """
     from cesarops.measure import moments as compute_moments
 
     tail_res = classify_tail(m, params, dyadic_t_ladder(tail_depth))
     if mu is None:
         mu = compute_moments(m, n_max)
+    if mu.n_max < n_max:
+        raise ValueError("classify_measure needs moments up to n_max = %d, "
+                         "got mu up to %d" % (n_max, mu.n_max))
+    mu = MomentSequence(mu.values[:n_max + 1], n_max, mu.abs_tolerance)
     moments_res = classify_moments(mu, params)
 
     probes = ((1.0, 0.0), (1.0, params.s / 2.0), (2.0, params.s / 2.0))

@@ -138,7 +138,7 @@ def _verdict_to_dict(verdict) -> dict:
 
 def _cmd_classify(args) -> str:
     m = resolve_measure(args.measure)
-    params = CarlesonParams(args.s, args.alpha, args.t_exp, args.r_exp)
+    params = CarlesonParams(args.s, args.alpha)
     verdict = classify_measure(m, params, tail_depth=args.ladder_depth,
                                n_max=args.n_max, variant=args.variant)
     if args.out is not None and args.out.endswith(".csv"):
@@ -207,8 +207,7 @@ def _cmd_verify(args) -> str:
         }
         return _dump_json(payload) + "\n"
     m = resolve_measure(args.measure)
-    config = ExperimentConfig(ladder_depth=args.ladder_depth,
-                              include_bloch=args.theorem == "boundedness")
+    config = ExperimentConfig(ladder_depth=args.ladder_depth)
     if args.theorem == "boundedness":
         report = boundedness_experiment(m, args.p, args.s, config)
     else:
@@ -243,8 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--t-exp", type=float, default=1.0)
-    p.add_argument("--r-exp", type=float, default=0.0)
     p.add_argument("--variant", choices=("ii", "iii", "iv"), default="ii")
     p.add_argument("--ladder-depth", type=int, default=14)
     p.add_argument("--n-max", type=int, default=2 ** 14)
@@ -265,14 +262,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument("--kind", choices=("bloch", "besov", "mean-lipschitz",
                                       "growth"), default="bloch")
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--p", type=float, default=2.0, help="unused by bloch")
+    p.add_argument("--alpha", type=float, default=0.5,
+                   help="read only by mean-lipschitz")
     add_common(p)
 
     p = sub.add_parser("verify", help="experiment report (JSON)")
     p.add_argument("--theorem", choices=("boundedness", "compactness",
                                          "proposition21"),
-                   default="boundedness")
+                   default="boundedness",
+                   help="proposition21 reads none of --measure, --p, --s "
+                        "and --ladder-depth")
     p.add_argument("--measure", default="lebesgue")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--s", type=float, default=2.0)

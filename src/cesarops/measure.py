@@ -481,17 +481,16 @@ def moments(m: RadialMeasure, n_max: int, *,
     return MomentSequence(vals, n_max, abs_tol).validate()
 
 
-def moment_via_tail(m: RadialMeasure, n: int, *,
-                    abs_tol: float = 1e-11) -> float:
+def moment_via_tail(m: RadialMeasure, n: int) -> float:
     """n-th moment through the distribution-function identity (n >= 1).
 
-    Integrates ``n * x**(n-1) * tail(m, x)`` with closed-form tails, an
-    integration path independent of :func:`moment`.
+    Integrates ``n * x**(n-1) * tail(m, x)`` to absolute tolerance 1e-11
+    with closed-form tails, an integration path independent of :func:`moment`.
     """
     if n < 1:
         raise ValueError("moment_via_tail requires n >= 1")
     out = 0.0
-    share = abs_tol / len(m.components)
+    share = 1e-11 / len(m.components)
     for comp in m.components:
         if isinstance(comp, PowerLogDensity):
             cut = comp._cutoff(comp.gamma, float(n))

@@ -50,6 +50,8 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 #: coefficients per Parseval block: 0.4 MB of powers at 193 radii
 _PARSEVAL_BLOCK = 256
+#: levels of the nested dyadic ladder behind both sup-type norms
+_LEVELS = 5
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,8 @@ def integral_mean(f: PowerSeries, r: float, p: float, *,
     so the angle integral runs through the adaptive panel scheme, which
     refines locally around those points.
     """
-    if not p > 0.0:
-        raise ValueError("integral mean requires p > 0")
+    if not 0.0 < p < math.inf:
+        raise ValueError("integral mean requires 0 < p < inf")
     if not 0.0 <= r <= 1.0:
         raise ValueError("circle radius must lie in [0, 1]")
     if use_derivative:
@@ -181,7 +183,7 @@ def _sup_ladder(f, values, keys, grid):
                         converged, grid)
 
 
-def bloch_norm(f: PowerSeries, *, max_levels: int = 5) -> NormEstimate:
+def bloch_norm(f: PowerSeries) -> NormEstimate:
     """Bloch norm ``|f(0)| + sup (1 - |z|^2) |f'(z)|`` on nested grids."""
     df = derivative(f)
     base_m = _next_pow2(max(256, df.coeffs.size))
@@ -190,18 +192,18 @@ def bloch_norm(f: PowerSeries, *, max_levels: int = 5) -> NormEstimate:
         return (1.0 - radii * radii) * np.array(
             [np.max(np.abs(circle_values(df, r, m))) for r in radii])
 
-    angles = [max(base_m, 2 ** (6 + level)) for level in range(max_levels)]
+    angles = [max(base_m, 2 ** (6 + level)) for level in range(_LEVELS)]
     return _sup_ladder(f, values, angles,
                        "dyadic radial ladder, levels 0..%d; %d..%d sample "
-                       "angles" % (max_levels - 1, angles[0], angles[-1]))
+                       "angles" % (_LEVELS - 1, angles[0], angles[-1]))
 
 
-def mean_lipschitz_norm(f: PowerSeries, p: float, alpha: float, *,
-                        max_levels: int = 5) -> NormEstimate:
+def mean_lipschitz_norm(f: PowerSeries, p: float,
+                        alpha: float) -> NormEstimate:
     """Mean Lipschitz norm ``|f(0)| + sup_r (1-r)**(1-alpha) M_p(r, f')``;
     at ``p = 2`` the means of all radii come from one Parseval sum."""
-    if not p >= 1.0:
-        raise ValueError("mean Lipschitz norm requires p >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError("mean Lipschitz norm requires 1 <= p < inf")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("mean Lipschitz norm requires alpha in (0, 1]")
     df = derivative(f)
@@ -211,29 +213,27 @@ def mean_lipschitz_norm(f: PowerSeries, p: float, alpha: float, *,
                  np.array([integral_mean(df, r, p) for r in radii]))
         return (1.0 - radii) ** (1.0 - alpha) * means
 
-    return _sup_ladder(f, values, [None] * max_levels,
-                       "dyadic radial ladder, levels 0..%d; full integral "
-                       "means" % (max_levels - 1,))
+    return _sup_ladder(f, values, [None] * _LEVELS, "dyadic radial ladder, "
+                       "levels 0..%d; full integral means" % (_LEVELS - 1))
 
 
-def besov_norm(f: PowerSeries, p: float, *,
-               abs_tol: float = 1e-10) -> NormEstimate:
-    """Besov norm for ``p > 1`` (normalized area measure).
+def besov_norm(f: PowerSeries, p: float) -> NormEstimate:
+    """Besov norm for ``1 < p < inf`` (normalized area measure).
 
     At ``p = 2`` it is the closed form ``|a_0| + (sum n |a_n|**2)**(1/2)``
     (Parseval).  Otherwise it is :func:`_besov_quadrature` to the absolute
-    tolerance ``abs_tol``, which applies only at ``p != 2``.
+    tolerance 1e-10.
     """
-    if not p > 1.0:
+    if not 1.0 < p < math.inf:
         raise ValueError(
-            "besov_norm requires p > 1: the limiting exponent falls outside "
-            "the family handled here")
+            "besov_norm requires 1 < p < inf: the limiting exponents fall "
+            "outside the family handled here")
     if p == 2.0:
         n = np.arange(f.coeffs.size)
         semi = float(np.sum(n * np.abs(f.coeffs) ** 2)) ** 0.5
         grid = "closed form (Parseval), p = 2"
     else:
-        semi = _besov_quadrature(f, p, abs_tol)
+        semi = _besov_quadrature(f, p, 1e-10)
         grid = "adaptive radial quadrature, split at r = 1/2"
     value = abs(complex(f.coeffs[0])) + semi
     return NormEstimate(value, (value,), True, grid)
@@ -290,8 +290,8 @@ def growth_ratio(f: PowerSeries, p: float, z_ladder=None, *,
     ``q`` is the conjugate exponent of ``p``.  A bounded sup, stable as
     the ladder deepens, witnesses the logarithmic growth estimate.
     """
-    if not p > 1.0:
-        raise ValueError("growth_ratio requires p > 1")
+    if not 1.0 < p < math.inf:
+        raise ValueError("growth_ratio requires 1 < p < inf")
     if z_ladder is None:
         z_ladder = default_z_ladder()
     points = [z.z if isinstance(z, EvalPoint) else complex(z)

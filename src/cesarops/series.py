@@ -142,20 +142,19 @@ def cesaro_like(mu: MomentSequence, f: PowerSeries) -> PowerSeries:
     return PowerSeries(mu.values[: f.degree + 1] * partial_sums(f))
 
 
-def _integral_eval_point(m, z, kernel, abs_tol):
+def _integral_eval_point(m, z, kernel):
     """Shared engine for the integral representations: ``kernel`` (a
-    vectorized function of t) integrated against ``m``, each component to
-    an equal share of ``abs_tol``."""
+    vectorized function of t) integrated against ``m`` to absolute
+    tolerance 1e-12, each component to an equal share."""
     if abs(z) > _INTEGRAL_EVAL_MAX_ABS_Z:
         raise ValueError(
             "integral evaluation supports |z| <= %.2f; use the coefficient "
             "route closer to the boundary" % _INTEGRAL_EVAL_MAX_ABS_Z)
-    share = abs_tol / len(m.components)
+    share = 1e-12 / len(m.components)
     return complex(sum(comp.integrate(kernel, share) for comp in m.components))
 
 
-def cesaro_like_integral_eval(m: RadialMeasure, f: PowerSeries, z, *,
-                              abs_tol: float = 1e-12) -> complex:
+def cesaro_like_integral_eval(m: RadialMeasure, f: PowerSeries, z) -> complex:
     """Integral route for ``(C f)(z)``: integral of ``f(tz)/(1-tz) dm(t)``."""
     if isinstance(z, EvalPoint):
         z = z.z
@@ -164,11 +163,11 @@ def cesaro_like_integral_eval(m: RadialMeasure, f: PowerSeries, z, *,
         tz = t * z
         return npoly.polyval(tz, f.coeffs) / (1.0 - tz)
 
-    return _integral_eval_point(m, complex(z), kernel, abs_tol)
+    return _integral_eval_point(m, complex(z), kernel)
 
 
-def cesaro_like_derivative_eval(m: RadialMeasure, f: PowerSeries, z, *,
-                                abs_tol: float = 1e-12) -> complex:
+def cesaro_like_derivative_eval(m: RadialMeasure, f: PowerSeries,
+                                z) -> complex:
     """Integral route for ``(C f)'(z)``.
 
     Differentiating under the integral sign gives the two-term kernel
@@ -184,7 +183,7 @@ def cesaro_like_derivative_eval(m: RadialMeasure, f: PowerSeries, z, *,
         return t * (npoly.polyval(tz, df.coeffs) * frac
                     + npoly.polyval(tz, f.coeffs) * frac * frac)
 
-    return _integral_eval_point(m, complex(z), kernel, abs_tol)
+    return _integral_eval_point(m, complex(z), kernel)
 
 
 def log_series(degree: int) -> PowerSeries:
@@ -205,8 +204,8 @@ def test_function(t: float, p: float, degree: int) -> PowerSeries:
     """
     if not 0.5 <= t < 1.0:
         raise ValueError("test function requires t in [1/2, 1)")
-    if not p > 1.0:
-        raise ValueError("test function requires p > 1")
+    if not 1.0 < p < math.inf:
+        raise ValueError("test function requires 1 < p < inf")
     if degree < 1:
         raise ValueError("degree must be >= 1")
     k = np.arange(1, degree + 1)
@@ -217,7 +216,7 @@ def test_function(t: float, p: float, degree: int) -> PowerSeries:
     return PowerSeries(scale * coeffs)
 
 
-_BUILTINS = ("one", "identity", "log_one_over_one_minus_z", "test_function")
+_BUILTINS = ("log_one_over_one_minus_z", "test_function")
 
 
 def function_from_dict(spec) -> PowerSeries:
@@ -233,10 +232,6 @@ def function_from_dict(spec) -> PowerSeries:
     if "builtin" in spec:
         name = spec["builtin"]
         degree = int(spec.get("degree", 256))
-        if name == "one":
-            return PowerSeries(np.ones(1, dtype=complex))
-        if name == "identity":
-            return PowerSeries(np.array([0.0, 1.0], dtype=complex))
         if name == "log_one_over_one_minus_z":
             return PowerSeries(log_series(degree).coeffs)
         if name == "test_function":
@@ -248,7 +243,7 @@ def function_from_dict(spec) -> PowerSeries:
                     "test_function builtin needs 't' and 'p'") from exc
             return test_function(t, p, degree)
         raise FunctionSpecError("unknown builtin %r; expected one of %s"
-                                % (name, (_BUILTINS,)))
+                                % (name, ", ".join(_BUILTINS)))
     if "coeffs_re" not in spec:
         raise FunctionSpecError("function spec needs 'coeffs_re' or 'builtin'")
     re = np.asarray(spec["coeffs_re"], dtype=float)

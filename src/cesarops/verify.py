@@ -81,16 +81,14 @@ class ExperimentConfig:
     """Grids and truncations shared by the experiments.
 
     Test functions at ``t_j = 1 - 2**-j`` are truncated at degree
-    ``min(max(8 * 2**j, 256), degree_cap)``; the coefficient decay
+    ``min(max(8 * 2**j, 256), 2**15)``; the coefficient decay
     ``t**k / k`` makes the dropped tail a sub-0.1% perturbation, far
     below the factor-level thresholds the trend fits use.
     """
 
     ladder_depth: int = 12
-    degree_cap: int = 2 ** 15
     lower_depth: int = 14
     classifier_n_max: int = 2 ** 14
-    include_bloch: bool = True
 
     def t_ladder(self):
         return dyadic_t_ladder(self.ladder_depth)[1:]
@@ -99,7 +97,7 @@ class ExperimentConfig:
         # The floor of 256 matters for atoms: the transformed coefficients
         # then decay like t0**k regardless of t, so a short truncation at
         # small j would clip real norm mass.
-        return min(max(8 * 2 ** j, 256), self.degree_cap)
+        return min(max(8 * 2 ** j, 256), 2 ** 15)
 
 
 @dataclass(frozen=True)
@@ -184,12 +182,6 @@ def _bounded_sense(label: str):
     return None
 
 
-def _sliced_moments(mu: MomentSequence, n_max: int) -> MomentSequence:
-    if mu.n_max == n_max:
-        return mu
-    return MomentSequence(mu.values[:n_max + 1], n_max, mu.abs_tolerance)
-
-
 def _boundedness_verdict(ts, ratios, trends, label, p):
     """Verdict and consistency rule of :func:`boundedness_experiment`."""
     ratio_sense = _bounded_sense(trends["ratio"].label)
@@ -224,7 +216,8 @@ def _experiment(theorem, m, p, s, config, rule):
     by ``rule(ts, ladder, trends, classifier_label, p)``.
 
     The boundedness ladder divides each image norm by the Besov norm of
-    its test function; the compactness ladder keeps the raw norms.
+    its test function and comes with a Bloch-norm ladder; the compactness
+    ladder keeps the raw mean-Lipschitz norms only.
     """
     q = _conjugate(p)
     if not s > 1.0:
@@ -232,7 +225,7 @@ def _experiment(theorem, m, p, s, config, rule):
     if config.ladder_depth < 4:
         raise ValueError("%s_experiment requires ladder_depth >= 4: the "
                          "decay exponent fits the last four rungs" % theorem)
-    ratio = theorem == "boundedness"
+    bounded = theorem == "boundedness"
     ts = config.t_ladder()
     max_degree = max(config.degree(j) for j in
                      range(1, config.ladder_depth + 1))
@@ -241,19 +234,17 @@ def _experiment(theorem, m, p, s, config, rule):
     for j, t in enumerate(ts, start=1):
         f = test_function(t, p, config.degree(j))
         cf = cesaro_like(mu, f)
-        size = besov_norm(f, p).value if ratio else 1.0
+        size = besov_norm(f, p).value if bounded else 1.0
         ladder.append(mean_lipschitz_norm(cf, s, 1.0 / s).value / size)
-        if config.include_bloch:
+        if bounded:
             bloch.append(bloch_norm(cf).value / size)
     ladder, bloch = tuple(ladder), tuple(bloch)
 
     lower_ns = tuple(2 ** k for k in range(2, config.lower_depth + 1))
-    mu_low = _sliced_moments(mu, config.classifier_n_max)
-    lower_values = tuple(lower_bound_statistic(mu_low, p, n)
-                         for n in lower_ns)
+    lower_values = tuple(lower_bound_statistic(mu, p, n) for n in lower_ns)
 
     classifier = classify_measure(m, CarlesonParams(1.0, 1.0 / q),
-                                  n_max=config.classifier_n_max, mu=mu_low)
+                                  n_max=config.classifier_n_max, mu=mu)
 
     trends = {
         "ratio": trend_label(ladder),
@@ -301,8 +292,7 @@ def compactness_experiment(m: RadialMeasure, p: float, s: float,
     "compact-consistent" when the classifier reports a vanishing
     Carleson quotient and the ladder has decayed.
     """
-    return _experiment("compactness", m, p, s,
-                       config or ExperimentConfig(include_bloch=False),
+    return _experiment("compactness", m, p, s, config or ExperimentConfig(),
                        _compactness_verdict)
 
 

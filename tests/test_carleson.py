@@ -266,6 +266,26 @@ def test_integral_profile_reports_quadrature_failures():
     assert res.note != ""
 
 
+def test_failed_ray_is_an_empty_inconclusive_ladder():
+    slow = RadialMeasure((PowerLogDensity(1.0, 0.5, 2.0),))
+    res = integral_profile(slow, CarlesonParams(1.0, 0.0, 1.0, 0.5), "iii",
+                           depth=8)
+    for ray in res.subresults:
+        assert ray.label == LABEL_INCONCLUSIVE and ray.values == ()
+        assert ray.note != "" and ray.note in res.note
+        trend = ray.trend
+        assert all(math.isnan(x) for x in (trend.slope, trend.peak,
+                                           trend.terminal))
+    assert res.label == LABEL_INCONCLUSIVE
+
+
+def test_dyadic_ladder_stops_where_doubles_reach_one():
+    assert dyadic_t_ladder(53)[-1] < 1.0
+    for depth in (-1, 54):
+        with pytest.raises(ValueError, match="ladder depth %d" % depth):
+            dyadic_t_ladder(depth)
+
+
 # ----------------------------------------------------------- full verdicts
 
 

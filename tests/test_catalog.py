@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from cesarops.catalog import (
@@ -15,7 +16,7 @@ from cesarops.catalog import (
     resolve_measure,
 )
 from cesarops.measure import RadialMeasure, total_mass
-from cesarops.series import PowerSeries
+from cesarops.series import PowerSeries, function_to_dict
 
 
 def test_measure_names_are_sorted_and_complete():
@@ -60,6 +61,13 @@ def test_resolution_prefers_existing_files(tmp_path):
         {"components": [{"kind": "point", "w": 2.0, "t0": 0.5}]}))
     m = resolve_measure(str(spec))
     assert total_mass(m) == pytest.approx(2.0)
+
+
+def test_function_resolution_reads_json_files(tmp_path):
+    f = PowerSeries([0.5, -1.0 + 2.0j, 0.25j])
+    spec = tmp_path / "f.json"
+    spec.write_text(json.dumps(function_to_dict(f)))
+    assert np.array_equal(resolve_function(str(spec)).coeffs, f.coeffs)
 
 
 def test_resolution_falls_back_to_builtins(tmp_path):

@@ -6,10 +6,12 @@ determinism of repeated runs.
 """
 
 import json
+import re
 
 import pytest
 
 from cesarops.cli import main
+from cesarops.series import FunctionSpecError, function_from_dict
 
 
 def run(capsys, *argv):
@@ -144,6 +146,36 @@ def test_norm_payload_keys_in_order(capsys, kind, keys):
     assert list(json.loads(out)) == keys
 
 
+@pytest.mark.parametrize("function, kind", [
+    ("identity", "besov"),          # was a numerical failure
+    ("identity", "growth"),         # was a numerical failure
+    ("test09", "mean-lipschitz"),   # was a numerical failure
+    ("identity", "mean-lipschitz"),  # printed the value 1
+])
+def test_infinite_p_is_an_input_error(capsys, function, kind):
+    code, out, err = run(capsys, "norm", "--function", function,
+                         "--kind", kind, "--p", "inf")
+    assert code == 2 and out == ""
+    assert "p < inf" in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([0.0, 1.0], "must be an object"),
+    ({"coeffs": [0.0, 1.0]}, "needs 'coeffs_re' or 'builtin'"),
+    ({"coeffs_re": [0.0, 1.0], "coeffs_im": [1.0]}, "lengths differ"),
+    ({"builtin": "identity"},   # the packaged identity.json replaces it
+     "expected one of log_one_over_one_minus_z, test_function"),
+])
+def test_malformed_function_spec_is_an_input_error(capsys, tmp_path, spec,
+                                                    message):
+    with pytest.raises(FunctionSpecError, match=re.escape(message)):
+        function_from_dict(spec)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "norm", "--function", str(path))
+    assert code == 2 and out == "" and message in err
+
+
 # ------------------------------------------------------------------- verify
 
 
@@ -167,6 +199,18 @@ def test_verify_ladder_shorter_than_four_rungs_is_an_input_error(
                          "--measure", "atom09", "--ladder-depth", depth)
     assert code == 2 and out == ""
     assert "ladder_depth >= 4" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--measure", "lebesgue"),
+    ("verify", "--theorem", "compactness", "--measure", "atom09"),
+])
+def test_ladder_deeper_than_53_is_an_input_error(capsys, argv):
+    # 1 - 2**-54 rounds to 1.0; this used to surface as a domain error
+    # of carleson_quotient or of the test function
+    code, out, err = run(capsys, *argv, "--ladder-depth", "54")
+    assert code == 2 and out == ""
+    assert "ladder depth 54 is outside 0..53" in err
 
 
 def test_verify_reports_the_classify_verdict(capsys):
@@ -201,6 +245,14 @@ def test_unknown_measure_is_an_input_error(capsys):
     code, _, err = run(capsys, "moments", "--measure", "no_such_measure")
     assert code == 2
     assert "no_such_measure" in err
+
+
+@pytest.mark.parametrize("flag", ["--t-exp", "--r-exp"])
+def test_classify_rejects_the_removed_exponent_flags(capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--measure", "lebesgue", flag, "0.5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
 
 
 def test_bad_parameters_are_an_input_error(capsys):

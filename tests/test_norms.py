@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cesarops.norms import (
     NormEstimate,
@@ -28,6 +28,7 @@ from cesarops.norms import (
 )
 from cesarops.norms import _besov_quadrature, _dyadic_radii, _next_pow2
 from cesarops.series import PowerSeries, derivative, log_series
+from cesarops.series import test_function as make_test_function
 
 from conftest import random_series
 
@@ -315,6 +316,29 @@ def test_bloch_norm_is_absolutely_homogeneous(seed, scale, phase):
     gen = np.random.default_rng(seed)
     f = random_series(gen, 10)
     c = scale * complex(math.cos(phase), math.sin(phase))
-    plain = bloch_norm(f, max_levels=3).value
-    scaled = bloch_norm(PowerSeries(f.coeffs * c), max_levels=3).value
+    plain = bloch_norm(f).value
+    scaled = bloch_norm(PowerSeries(f.coeffs * c)).value
     assert scaled == pytest.approx(abs(c) * plain, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats())
+@example(p=math.inf)
+@example(p=-math.inf)
+@example(p=math.nan)
+@example(p=1.0)
+@example(p=0.0)
+def test_exponent_outside_its_range_is_rejected(p):
+    # Each check raises before any quadrature runs, so every p is cheap.
+    f = PowerSeries([0.0, 1.0])
+    checks = [
+        (lambda: besov_norm(f, p), 1.0 < p < math.inf),
+        (lambda: growth_ratio(f, p), 1.0 < p < math.inf),
+        (lambda: make_test_function(0.5, p, 4), 1.0 < p < math.inf),
+        (lambda: mean_lipschitz_norm(f, p, 0.5), 1.0 <= p < math.inf),
+        (lambda: integral_mean(f, 0.5, p), 0.0 < p < math.inf),
+    ]
+    for call, inside in checks:
+        if not inside:
+            with pytest.raises(ValueError):
+                call()

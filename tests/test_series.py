@@ -119,6 +119,14 @@ def test_integral_eval_rejects_large_radius(catalog, rng):
         cesaro_like_integral_eval(catalog["lebesgue"], f, 0.97)
 
 
+def test_integral_routes_accept_eval_points(catalog, rng):
+    f = random_series(rng, 6)
+    z = 0.3 - 0.4j
+    for route in (cesaro_like_integral_eval, cesaro_like_derivative_eval):
+        assert (route(catalog["power_half"], f, EvalPoint(z))
+                == route(catalog["power_half"], f, z))
+
+
 def test_cesaro_like_requires_enough_moments(catalog, rng):
     f = random_series(rng, 8)
     mu = moments(catalog["lebesgue"], 4)

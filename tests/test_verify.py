@@ -11,7 +11,8 @@ import math
 
 import pytest
 
-from cesarops.measure import MomentSequence, PointMass, RadialMeasure, moments
+from cesarops.carleson import CarlesonParams, classify_measure
+from cesarops.measure import PointMass, RadialMeasure, moments
 from cesarops.verify import (
     VERDICT_BOUNDED,
     VERDICT_COMPACT,
@@ -27,11 +28,10 @@ from cesarops.verify import (
 )
 
 
-CHEAP = ExperimentConfig(ladder_depth=6, degree_cap=2 ** 11, lower_depth=10,
-                         classifier_n_max=2 ** 10, include_bloch=False)
-ATOM_CHEAP = ExperimentConfig(ladder_depth=8, degree_cap=2 ** 13,
-                              lower_depth=10, classifier_n_max=2 ** 10,
-                              include_bloch=False)
+CHEAP = ExperimentConfig(ladder_depth=6, lower_depth=10,
+                         classifier_n_max=2 ** 10)
+ATOM_CHEAP = ExperimentConfig(ladder_depth=8, lower_depth=10,
+                              classifier_n_max=2 ** 10)
 
 
 # ----------------------------------------------------------- small pieces
@@ -133,7 +133,7 @@ def test_report_serializes_to_plain_json(catalog):
     assert data["verdict"] == VERDICT_NOT_BOUNDED
     assert data["p"] == 2.0 and data["q"] == 2.0
     assert len(data["ladder"]) == 6
-    assert set(data["ladder"][0]) == {"t", "ratio"}
+    assert set(data["ladder"][0]) == {"t", "ratio", "bloch_ratio"}
     assert data["lower_bound"][0]["N"] == 4
     assert set(data["classifier"]) == {
         "per_criterion", "agreement", "sup_estimate", "limit_estimate",
@@ -177,14 +177,19 @@ def test_agreement_entry_flags():
     assert math.isnan(empty.agreement_rate)
 
 
-def test_sliced_classifier_reuses_the_moment_table(catalog):
-    # The experiment computes one long moment table and hands a slice to
-    # the classifier; the slice must carry the producer's tolerance.
-    mu = moments(catalog["lebesgue"], 2 ** 11)
-    from cesarops.verify import _sliced_moments
-    sliced = _sliced_moments(mu, 2 ** 10)
-    assert isinstance(sliced, MomentSequence)
-    assert sliced.n_max == 2 ** 10
-    assert sliced.abs_tolerance == mu.abs_tolerance
-    assert sliced.values[-1] == mu.values[2 ** 10]
-    assert _sliced_moments(mu, 2 ** 11) is mu
+def test_classifier_honours_n_max_for_a_given_moment_table(catalog):
+    # The experiment hands its one long moment table to the classifier,
+    # which must cut it to n_max rather than run its ladder to mu.n_max.
+    m = catalog["power_half"]
+    params = CarlesonParams(1.0, 0.5)
+    exact = classify_measure(m, params, n_max=2 ** 10,
+                             mu=moments(m, 2 ** 10))
+    longer = classify_measure(m, params, n_max=2 ** 10,
+                              mu=moments(m, 2 ** 12))
+    got, want = longer.criteria[1], exact.criteria[1]
+    assert (got.label, got.grid, got.values) == (want.label, want.grid,
+                                                 want.values)
+    assert got.grid[-1] == 2 ** 10
+    assert got.fitted_exponent == want.fitted_exponent
+    with pytest.raises(ValueError, match="n_max = 2048.*up to 1024"):
+        classify_measure(m, params, n_max=2 ** 11, mu=moments(m, 2 ** 10))
