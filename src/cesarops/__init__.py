@@ -29,7 +29,6 @@ from cesarops.catalog import (
     builtin_function_names,
     builtin_measure_names,
     catalog_measures,
-    load_builtin_function,
     load_builtin_measure,
     resolve_function,
     resolve_measure,
@@ -41,13 +40,11 @@ from cesarops.measure import (
     PowerLogDensity,
     RadialMeasure,
     TabulatedDensity,
-    load_measure,
     measure_from_dict,
     measure_to_dict,
     moment,
     moment_via_tail,
     moments,
-    scale_measure,
     tail,
     total_mass,
 )
@@ -63,7 +60,6 @@ from cesarops.norms import (
 )
 from cesarops.quadrature import QuadratureError, QuadResult, integrate_adaptive
 from cesarops.series import (
-    EvalPoint,
     FunctionSpecError,
     PowerSeries,
     cesaro_like,
@@ -72,7 +68,6 @@ from cesarops.series import (
     derivative,
     evaluate,
     function_from_dict,
-    function_to_dict,
     log_series,
     partial_sums,
     test_function,

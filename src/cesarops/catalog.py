@@ -12,7 +12,7 @@ import json
 import os
 from importlib import resources
 
-from cesarops.measure import RadialMeasure, load_measure, measure_from_dict
+from cesarops.measure import RadialMeasure, measure_from_dict
 from cesarops.series import PowerSeries, function_from_dict
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "builtin_measure_names",
     "builtin_function_names",
     "load_builtin_measure",
-    "load_builtin_function",
     "catalog_measures",
     "resolve_measure",
     "resolve_function",
@@ -55,7 +54,7 @@ def builtin_measure_names():
 
 
 def builtin_function_names():
-    """Names accepted by :func:`load_builtin_function`."""
+    """Builtin names accepted by :func:`resolve_function`."""
     return _list_names("functions")
 
 
@@ -73,31 +72,31 @@ def load_builtin_measure(name: str) -> RadialMeasure:
     return measure_from_dict(_load_json("measures", name))
 
 
-def load_builtin_function(name: str) -> PowerSeries:
-    return function_from_dict(_load_json("functions", name))
-
-
 def catalog_measures() -> dict:
     """The standard six-measure catalog, name -> measure."""
     return {name: load_builtin_measure(name) for name in CATALOG_MEASURES}
 
 
-def resolve_measure(spec: str) -> RadialMeasure:
-    """Load a measure from a file path or a builtin name.
+def _resolve(kind: str, spec: str) -> dict:
+    """The JSON spec behind a file path or a builtin name of ``kind``.
 
     An existing file wins; otherwise the name (with or without the
     ``.json`` suffix) is looked up among the builtins.
     """
-    if os.path.exists(spec):
-        return load_measure(spec)
-    name = spec[:-5] if spec.endswith(".json") else spec
-    return load_builtin_measure(name)
+    if not os.path.exists(spec):
+        return _load_json(kind, spec[:-5] if spec.endswith(".json") else spec)
+    with open(spec, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError("invalid JSON in %s: %s" % (spec, exc)) from exc
+
+
+def resolve_measure(spec: str) -> RadialMeasure:
+    """Load a measure from a file path or a builtin name."""
+    return measure_from_dict(_resolve("measures", spec))
 
 
 def resolve_function(spec: str) -> PowerSeries:
     """Load a power series from a file path or a builtin name."""
-    if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as handle:
-            return function_from_dict(json.load(handle))
-    name = spec[:-5] if spec.endswith(".json") else spec
-    return load_builtin_function(name)
+    return function_from_dict(_resolve("functions", spec))

@@ -35,15 +35,14 @@ from cesarops.catalog import (
     resolve_function,
     resolve_measure,
 )
-from cesarops.measure import MeasureSpecError, moments
+from cesarops.measure import moments
 from cesarops.norms import (
     besov_norm,
     bloch_norm,
     growth_ratio,
     mean_lipschitz_norm,
 )
-from cesarops.quadrature import QuadratureError
-from cesarops.series import FunctionSpecError, PowerSeries, cesaro_like
+from cesarops.series import PowerSeries, cesaro_like
 from cesarops.verify import (
     ExperimentConfig,
     boundedness_experiment,
@@ -51,8 +50,7 @@ from cesarops.verify import (
     proposition21_experiment,
 )
 
-_INPUT_ERRORS = (MeasureSpecError, FunctionSpecError, ValueError, KeyError,
-                 TypeError, OSError, json.JSONDecodeError)
+_INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError)
 
 
 def _fmt(x: float) -> str:

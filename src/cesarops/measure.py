@@ -28,7 +28,7 @@ a sum or a comprehension over the components:
   beyond ``u = 400`` raises ``QuadratureError`` instead of being truncated;
 * ``integral_bound(r_exp, bound)`` -- an upper bound of that integral for
   ``|g| <= bound`` (infinite when it diverges), to scale tolerances by;
-* ``scaled(factor)`` and ``to_dict()``.
+* ``to_dict()``.
 
 ``integrate`` is the one routine that integrates a kernel against a
 measure: :func:`moment`, the integral route of the operator in
@@ -45,10 +45,8 @@ monomial) and serves as a cross-check oracle for the direct route.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
-from typing import Union
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -60,7 +58,6 @@ __all__ = [
     "PowerLogDensity",
     "PointMass",
     "TabulatedDensity",
-    "MeasureComponent",
     "RadialMeasure",
     "MomentSequence",
     "total_mass",
@@ -70,8 +67,6 @@ __all__ = [
     "moment_via_tail",
     "measure_from_dict",
     "measure_to_dict",
-    "load_measure",
-    "scale_measure",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -109,9 +104,6 @@ class PowerLogDensity:
     def to_dict(self):
         return {"kind": self.kind, "c": self.c, "gamma": self.gamma,
                 "beta": self.beta}
-
-    def scaled(self, factor):
-        return replace(self, c=self.c * factor)
 
     def mass(self):
         return self.tail(0.0)
@@ -242,9 +234,6 @@ class PointMass:
     def to_dict(self):
         return {"kind": self.kind, "w": self.w, "t0": self.t0}
 
-    def scaled(self, factor):
-        return replace(self, w=self.w * factor)
-
     def mass(self):
         return self.w
 
@@ -276,8 +265,6 @@ class PointMass:
 def _pow_diff(x0, x1, k):
     """x1**k - x0**k for integer array k, stable when both factors are tiny."""
     k = np.asarray(k, dtype=float)
-    if x1 <= 0.0:
-        return np.zeros_like(k)
     hi = np.exp(k * math.log(x1))
     if x0 <= 0.0:
         return hi
@@ -315,9 +302,6 @@ class TabulatedDensity:
 
     def to_dict(self):
         return {"kind": self.kind, "x": list(self.x), "v": list(self.v)}
-
-    def scaled(self, factor):
-        return replace(self, v=tuple(val * factor for val in self.v))
 
     def _panels(self):
         """Per-panel linear coefficients (a, b) with density a + b*x on [x_i, x_{i+1}]."""
@@ -372,7 +356,6 @@ class TabulatedDensity:
         return out
 
 
-MeasureComponent = Union[PowerLogDensity, PointMass, TabulatedDensity]
 _KINDS = {cls.kind: cls for cls in (PowerLogDensity, PointMass, TabulatedDensity)}
 
 
@@ -532,13 +515,6 @@ def moment_via_tail(m: RadialMeasure, n: int) -> float:
     return out
 
 
-def scale_measure(m: RadialMeasure, factor: float) -> RadialMeasure:
-    """The measure factor * m (factor > 0)."""
-    if not factor > 0.0:
-        raise ValueError("scale factor must be positive")
-    return RadialMeasure(tuple(comp.scaled(factor) for comp in m.components))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -568,12 +544,3 @@ def measure_from_dict(spec) -> RadialMeasure:
 
 def measure_to_dict(m: RadialMeasure) -> dict:
     return {"components": [comp.to_dict() for comp in m.components]}
-
-
-def load_measure(path) -> RadialMeasure:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MeasureSpecError("invalid JSON in %s: %s" % (path, exc)) from exc
-    return measure_from_dict(spec)

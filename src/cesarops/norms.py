@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from cesarops.quadrature import integrate_adaptive
-from cesarops.series import EvalPoint, PowerSeries, derivative, evaluate
+from cesarops.series import PowerSeries, derivative, evaluate
 
 __all__ = [
     "NormEstimate",
@@ -69,11 +69,6 @@ class NormEstimate:
     refinements: tuple
     converged: bool
     grid_spec: str
-
-    def last_increment(self) -> float:
-        if len(self.refinements) < 2:
-            return 0.0
-        return self.refinements[-1] - self.refinements[-2]
 
 
 def _next_pow2(n: int) -> int:
@@ -294,8 +289,7 @@ def growth_ratio(f: PowerSeries, p: float, z_ladder=None, *,
         raise ValueError("growth_ratio requires 1 < p < inf")
     if z_ladder is None:
         z_ladder = default_z_ladder()
-    points = [z.z if isinstance(z, EvalPoint) else complex(z)
-              for z in z_ladder]
+    points = [complex(z) for z in z_ladder]
     if not points:
         raise ValueError("growth_ratio requires a nonempty ladder")
     if any(abs(z) >= 1.0 for z in points):

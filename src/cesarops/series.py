@@ -36,7 +36,6 @@ from cesarops.quadrature import integrate_adaptive  # noqa: F401
 __all__ = [
     "FunctionSpecError",
     "PowerSeries",
-    "EvalPoint",
     "MAX_ABS_Z",
     "evaluate",
     "derivative",
@@ -47,7 +46,6 @@ __all__ = [
     "log_series",
     "test_function",
     "function_from_dict",
-    "function_to_dict",
 ]
 
 MAX_ABS_Z = 1.0 - 2.0 ** -40
@@ -77,28 +75,13 @@ class PowerSeries:
         return self.coeffs.size - 1
 
 
-@dataclass(frozen=True)
-class EvalPoint:
-    """A point of the open unit disk, capped at ``|z| <= 1 - 2**-40``."""
-
-    z: complex
-
-    def __post_init__(self):
-        z = complex(self.z)
-        object.__setattr__(self, "z", z)
-        if abs(z) > MAX_ABS_Z:
-            raise ValueError("evaluation point outside |z| <= 1 - 2**-40")
-
-
 def _check_domain(z):
     if np.max(np.abs(z)) > MAX_ABS_Z:
         raise ValueError("evaluation point outside |z| <= 1 - 2**-40")
 
 
 def evaluate(f: PowerSeries, z):
-    """Value of the series at ``z`` (EvalPoint, scalar, or array), Horner scheme."""
-    if isinstance(z, EvalPoint):
-        z = z.z
+    """Value of the series at ``z`` (scalar or array), Horner scheme."""
     zarr = np.asarray(z, dtype=complex)
     _check_domain(zarr)
     vals = npoly.polyval(zarr, f.coeffs)
@@ -156,8 +139,6 @@ def _integral_eval_point(m, z, kernel):
 
 def cesaro_like_integral_eval(m: RadialMeasure, f: PowerSeries, z) -> complex:
     """Integral route for ``(C f)(z)``: integral of ``f(tz)/(1-tz) dm(t)``."""
-    if isinstance(z, EvalPoint):
-        z = z.z
 
     def kernel(t):
         tz = t * z
@@ -173,8 +154,6 @@ def cesaro_like_derivative_eval(m: RadialMeasure, f: PowerSeries,
     Differentiating under the integral sign gives the two-term kernel
     ``t f'(tz)/(1-tz) + t f(tz)/(1-tz)**2``.
     """
-    if isinstance(z, EvalPoint):
-        z = z.z
     df = derivative(f)
 
     def kernel(t):
@@ -224,14 +203,19 @@ def function_from_dict(spec) -> PowerSeries:
 
     Either explicit coefficients ``{"coeffs_re": [...], "coeffs_im": [...]}``
     (the imaginary part is optional) or a builtin
-    ``{"builtin": <name>, ...}`` with name one of %s; the builtins take
-    ``degree`` (default 256) and, for the test function, ``t`` and ``p``.
-    """ % (_BUILTINS,)
+    ``{"builtin": <name>, ...}`` with name ``log_one_over_one_minus_z`` or
+    ``test_function``; the builtins take an integer ``degree >= 1``
+    (default 256) and, for the test function, ``t`` and ``p``.
+    """
     if not isinstance(spec, dict):
         raise FunctionSpecError("function spec must be an object")
     if "builtin" in spec:
         name = spec["builtin"]
-        degree = int(spec.get("degree", 256))
+        degree = spec.get("degree", 256)
+        if (isinstance(degree, bool) or not isinstance(degree, int)
+                or degree < 1):
+            raise FunctionSpecError(
+                "builtin 'degree' must be an integer >= 1, got %r" % (degree,))
         if name == "log_one_over_one_minus_z":
             return PowerSeries(log_series(degree).coeffs)
         if name == "test_function":
@@ -252,9 +236,3 @@ def function_from_dict(spec) -> PowerSeries:
         raise FunctionSpecError("'coeffs_re' and 'coeffs_im' lengths differ")
     return PowerSeries(re + 1j * im)
 
-
-def function_to_dict(f: PowerSeries) -> dict:
-    out = {"coeffs_re": [float(c.real) for c in f.coeffs]}
-    if np.any(f.coeffs.imag != 0.0):
-        out["coeffs_im"] = [float(c.imag) for c in f.coeffs]
-    return out

@@ -336,11 +336,6 @@ class AgreementMatrix:
             return float("nan")
         return self.n_agree / self.n_conclusive
 
-    def summary(self) -> str:
-        return ("%d cells, %d conclusive, %d agree (rate %.3f)"
-                % (len(self.entries), self.n_conclusive, self.n_agree,
-                   self.agreement_rate))
-
 
 def proposition21_experiment(catalog: dict, params_grid, *,
                              n_max: int = 2 ** 14,

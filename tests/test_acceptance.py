@@ -18,7 +18,6 @@ from cesarops.carleson import (
     conclusive_agreement,
     fit_moment_decay,
 )
-from cesarops.catalog import catalog_measures
 from cesarops.measure import (
     PowerLogDensity,
     RadialMeasure,

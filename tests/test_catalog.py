@@ -10,13 +10,12 @@ from cesarops.catalog import (
     builtin_function_names,
     builtin_measure_names,
     catalog_measures,
-    load_builtin_function,
     load_builtin_measure,
     resolve_function,
     resolve_measure,
 )
 from cesarops.measure import RadialMeasure, total_mass
-from cesarops.series import PowerSeries, function_to_dict
+from cesarops.series import PowerSeries
 
 
 def test_measure_names_are_sorted_and_complete():
@@ -44,7 +43,7 @@ def test_every_builtin_function_loads():
     names = builtin_function_names()
     assert "ones" in names and "log_series" in names
     for name in names:
-        f = load_builtin_function(name)
+        f = resolve_function(name)
         assert isinstance(f, PowerSeries)
 
 
@@ -52,7 +51,7 @@ def test_unknown_names_raise_key_error():
     with pytest.raises(KeyError):
         load_builtin_measure("no_such_measure")
     with pytest.raises(KeyError):
-        load_builtin_function("no_such_function")
+        resolve_function("no_such_function")
 
 
 def test_resolution_prefers_existing_files(tmp_path):
@@ -66,7 +65,8 @@ def test_resolution_prefers_existing_files(tmp_path):
 def test_function_resolution_reads_json_files(tmp_path):
     f = PowerSeries([0.5, -1.0 + 2.0j, 0.25j])
     spec = tmp_path / "f.json"
-    spec.write_text(json.dumps(function_to_dict(f)))
+    spec.write_text(json.dumps({"coeffs_re": [0.5, -1.0, 0.0],
+                                "coeffs_im": [0.0, 2.0, 0.25]}))
     assert np.array_equal(resolve_function(str(spec)).coeffs, f.coeffs)
 
 

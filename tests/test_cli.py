@@ -6,11 +6,12 @@ determinism of repeated runs.
 """
 
 import json
+import os
 import re
 
 import pytest
 
-from cesarops.cli import main
+from cesarops.cli import _fmt, main
 from cesarops.series import FunctionSpecError, function_from_dict
 
 
@@ -98,6 +99,25 @@ def test_classify_ladder_csv(capsys, tmp_path):
     assert any(c.startswith("integral ray") for c in criteria)
 
 
+def test_non_finite_values_print_as_json_tokens(capsys, tmp_path):
+    # the atom's three ladders all vanish, and a vanishing fit has no slope
+    code, out, _ = run(capsys, "classify", "--measure", "atom09", "--s", "1",
+                       "--n-max", "1024", "--ladder-depth", "8")
+    assert code == 0 and '"slope": NaN' in out
+    slopes = [c["slope"] for c in json.loads(out)["criteria"]]
+    assert slopes and all(s != s for s in slopes)
+    # the r_exp = 1/2 probe diverges against the density (1-t)**(-1/2)
+    target = tmp_path / "ladders.csv"
+    code, _, _ = run(capsys, "classify", "--measure", "power_half",
+                     "--s", "1", "--n-max", "1024", "--ladder-depth", "8",
+                     "--out", str(target))
+    values = [line.rsplit(",", 1)[1]
+              for line in target.read_text().splitlines()[1:]]
+    assert code == 0 and "Infinity" in values
+    assert (_fmt(float("nan")), _fmt(float("inf")), _fmt(float("-inf"))) \
+        == ("NaN", "Infinity", "-Infinity")
+
+
 # --------------------------------------------------------------------- norm
 
 
@@ -165,6 +185,13 @@ def test_infinite_p_is_an_input_error(capsys, function, kind):
     ({"coeffs_re": [0.0, 1.0], "coeffs_im": [1.0]}, "lengths differ"),
     ({"builtin": "identity"},   # the packaged identity.json replaces it
      "expected one of log_one_over_one_minus_z, test_function"),
+    # a degree that is not a JSON integer was truncated, or read from a bool
+    ({"builtin": "log_one_over_one_minus_z", "degree": 16.9},
+     "'degree' must be an integer >= 1, got 16.9"),
+    ({"builtin": "log_one_over_one_minus_z", "degree": True},
+     "'degree' must be an integer >= 1, got True"),
+    ({"builtin": "log_one_over_one_minus_z", "degree": "16"},
+     "'degree' must be an integer >= 1, got '16'"),
 ])
 def test_malformed_function_spec_is_an_input_error(capsys, tmp_path, spec,
                                                     message):
@@ -266,6 +293,29 @@ def test_unwritable_output_is_an_input_error(capsys, tmp_path):
     code, _, _ = run(capsys, "moments", "--measure", "lebesgue",
                      "--n-max", "4", "--out", str(target))
     assert code == 2
+
+
+def test_failed_write_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run(capsys, "moments", "--measure", "lebesgue",
+                         "--n-max", "4", "--out", str(tmp_path / "m.csv"))
+    assert code == 2 and out == "" and "replace refused" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "--measure"),
+    ("norm", "--function"),
+])
+def test_malformed_json_file_is_an_input_error(capsys, tmp_path, argv):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid JSON in %s: " % path)
 
 
 def test_missing_required_flag_exits_two(capsys):

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cesarops.carleson import CarlesonParams, classify_measure
+from cesarops.catalog import resolve_measure
 from cesarops.measure import (
     MeasureSpecError,
     MomentSequence,
@@ -22,13 +24,11 @@ from cesarops.measure import (
     PowerLogDensity,
     RadialMeasure,
     TabulatedDensity,
-    load_measure,
     measure_from_dict,
     measure_to_dict,
     moment,
     moment_via_tail,
     moments,
-    scale_measure,
     tail,
     total_mass,
 )
@@ -114,6 +114,26 @@ def test_moments_batch_matches_single(catalog):
         assert mu.values[n] == pytest.approx(moment(m, n), abs=1e-12)
 
 
+def test_zero_weight_components_change_nothing(catalog):
+    lebesgue = catalog["lebesgue"]
+    padded = RadialMeasure(lebesgue.components + (
+        PowerLogDensity(0.0, 0.3, 2.0),
+        PointMass(0.0, 0.5),
+        TabulatedDensity((0.0, 0.5), (0.0, 0.0))))
+    assert total_mass(padded) == total_mass(lebesgue)
+    for t in (0.0, 0.25, 0.5, 0.9):
+        assert tail(padded, t) == tail(lebesgue, t)
+    assert moment_via_tail(padded, 7) == moment_via_tail(lebesgue, 7)
+    assert moment(padded, 7) == pytest.approx(1.0 / 8.0, abs=1e-12)
+    mu, mu_padded = moments(lebesgue, 256), moments(padded, 256)
+    assert np.max(np.abs(mu_padded.values - mu.values)) <= mu.abs_tolerance
+    params = CarlesonParams(1.0, 0.5)
+    labels = [{c.criterion: c.label for c in classify_measure(
+        m, params, tail_depth=8, n_max=1024).criteria}
+        for m in (lebesgue, padded)]
+    assert labels[0] == labels[1]
+
+
 def test_moment_sequence_validation(catalog):
     mu = moments(catalog["power_half"], 256)
     mu.validate()  # positivity and total monotonicity hold
@@ -130,24 +150,16 @@ def test_total_mass_is_moment_zero(catalog):
         assert total_mass(m) == pytest.approx(moment(m, 0), abs=1e-12)
 
 
-def test_scale_measure_scales_moments(catalog):
-    m = catalog["power_two"]
-    doubled = scale_measure(m, 2.0)
-    assert total_mass(doubled) == pytest.approx(2.0 * total_mass(m),
-                                                abs=1e-12)
-    assert moment(doubled, 8) == pytest.approx(2.0 * moment(m, 8), abs=1e-12)
-
-
 def test_measure_dict_round_trip(catalog, hat_table):
     for m in list(catalog.values()) + [hat_table]:
         again = measure_from_dict(measure_to_dict(m))
         assert again == m
 
 
-def test_load_measure_from_file(tmp_path, catalog):
+def test_measure_file_round_trip(tmp_path, catalog):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(measure_to_dict(catalog["mix_atom_power"])))
-    m = load_measure(str(path))
+    m = resolve_measure(str(path))
     assert m == catalog["mix_atom_power"]
 
 

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cesarops.norms import (
-    NormEstimate,
     besov_norm,
     bloch_norm,
     circle_values,
@@ -188,13 +187,6 @@ def test_mean_lipschitz_argument_validation():
         mean_lipschitz_norm(f, 2.0, 0.0)
     with pytest.raises(ValueError):
         mean_lipschitz_norm(f, 2.0, 1.5)
-
-
-def test_norm_estimate_last_increment():
-    est = NormEstimate(2.0, (1.0, 1.75, 2.0), True, "test grid")
-    assert est.last_increment() == pytest.approx(0.25)
-    single = NormEstimate(1.0, (1.0,), True, "test grid")
-    assert single.last_increment() == 0.0
 
 
 # -------------------------------------------------------------- besov norm

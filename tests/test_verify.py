@@ -154,7 +154,6 @@ def test_agreement_matrix_on_a_small_catalog(catalog):
     assert matrix.n_conclusive == 4
     assert matrix.n_agree == 4
     assert matrix.agreement_rate == 1.0
-    assert "4 agree" in matrix.summary()
     by_key = {(e.measure, e.s): e for e in matrix.entries}
     assert by_key[("lebesgue", 1.0)].tail_label == "finite-looking"
     assert by_key[("lebesgue", 2.0)].tail_label == "diverging"
