@@ -53,7 +53,6 @@ from cesarops.norms import (
     besov_norm,
     bloch_norm,
     circle_values,
-    default_z_ladder,
     growth_ratio,
     integral_mean,
     mean_lipschitz_norm,

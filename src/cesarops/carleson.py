@@ -272,19 +272,14 @@ def classify_moments(mu: MomentSequence,
 
 
 def _variant_kernel(variant: str, a: complex, rho: float, theta: float):
-    """Denominator factor ``1/(...)**theta`` for each integral variant."""
-    if variant == "ii":
-        def kernel(x):
-            return (1.0 - rho * x) ** -theta
-    elif variant == "iii":
-        def kernel(x):
-            return np.abs(1.0 - a * x) ** -theta
-    elif variant == "iv":
-        def kernel(x):
-            return (1.0 - a * x) ** -theta
-    else:
+    """Denominator factor ``1/(...)**theta`` for each integral variant;
+    ``"ii"`` is ``"iii"`` at the real point ``|a|``."""
+    if variant == "iv":
+        return lambda x: (1.0 - a * x) ** -theta
+    if variant not in ("ii", "iii"):
         raise ValueError("variant must be one of 'ii', 'iii', 'iv'")
-    return kernel
+    b = rho if variant == "ii" else a
+    return lambda x: np.abs(1.0 - b * x) ** -theta
 
 
 def carleson_integral(m: RadialMeasure, a: complex, params: CarlesonParams,

@@ -12,8 +12,8 @@ A measure is a finite mixture of three component kinds:
 Every kind answers one protocol, so each measure-level function below is
 a sum or a comprehension over the components:
 
-* ``mass()`` and ``tail(t)`` -- the measure of [0, 1) and of [t, 1), in
-  closed form;
+* ``tail(t)`` -- the measure of [t, 1) in closed form; ``tail(0)`` is
+  the mass;
 * ``moments(ns, abs_tol)`` -- the moments ``integral of t**n`` for the
   orders ``ns``: closed forms for atoms and tables, one shared panel grid
   for a power-log density;
@@ -27,8 +27,9 @@ a sum or a comprehension over the components:
   which should bound ``|g|``, and a component that would need a cutoff
   beyond ``u = 400`` raises ``QuadratureError`` instead of being truncated;
 * ``integral_bound(r_exp, bound)`` -- an upper bound of that integral for
-  ``|g| <= bound`` (infinite when it diverges), to scale tolerances by;
-* ``to_dict()``.
+  ``|g| <= bound`` (infinite when it diverges), to scale tolerances by.
+
+A component's JSON spec is its ``kind`` plus exactly its dataclass fields.
 
 ``integrate`` is the one routine that integrates a kernel against a
 measure: :func:`moment`, the integral route of the operator in
@@ -46,7 +47,7 @@ monomial) and serves as a cross-check oracle for the direct route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import mpmath
 import numpy as np
@@ -96,17 +97,6 @@ class PowerLogDensity:
             raise MeasureSpecError("power_log component needs gamma > 0")
         if not (self.beta >= 0.0 and math.isfinite(self.beta)):
             raise MeasureSpecError("power_log component needs beta >= 0")
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(float(d["c"]), float(d["gamma"]), float(d.get("beta", 0.0)))
-
-    def to_dict(self):
-        return {"kind": self.kind, "c": self.c, "gamma": self.gamma,
-                "beta": self.beta}
-
-    def mass(self):
-        return self.tail(0.0)
 
     def tail(self, t):
         """Closed form via the incomplete gamma function.
@@ -227,16 +217,6 @@ class PointMass:
         if not 0.0 <= self.t0 < 1.0:
             raise MeasureSpecError("point component needs t0 in [0, 1)")
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(float(d["w"]), float(d["t0"]))
-
-    def to_dict(self):
-        return {"kind": self.kind, "w": self.w, "t0": self.t0}
-
-    def mass(self):
-        return self.w
-
     def tail(self, t):
         return self.w if self.t0 >= t else 0.0
 
@@ -249,17 +229,15 @@ class PointMass:
         return self.w * (1.0 - self.t0) ** -r_exp * g(np.array([self.t0]))[0]
 
     def moments(self, ns, abs_tol):
-        ns = np.asarray(ns, dtype=float)
-        if self.w == 0.0:
-            return np.zeros(len(ns))
-        if self.t0 == 0.0:
-            out = np.zeros(len(ns))
-            out[ns == 0] = self.w
-            return out
-        with np.errstate(under="ignore"):
-            vals = self.w * np.exp(ns * math.log(self.t0))
-        vals[vals < _ATOM_FLUSH] = 0.0
-        return vals
+        vals = self.w * _power(self.t0, np.asarray(ns, dtype=float))
+        return np.where(vals < _ATOM_FLUSH, 0.0, vals)
+
+
+def _power(x, n):
+    """``x**n`` for ``x`` in [0, 1) as ``exp(n log x)``, elementwise: 1 at
+    ``n = 0``, and at most 1e-320 at ``x = 0`` for ``n > 0``."""
+    with np.errstate(under="ignore"):
+        return np.exp(n * np.log(np.maximum(x, 1e-320)))
 
 
 def _pow_diff(x0, x1, k):
@@ -296,13 +274,6 @@ class TabulatedDensity:
         if any(val < 0.0 or not math.isfinite(val) for val in v):
             raise MeasureSpecError("table values must be finite and >= 0")
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(tuple(d["x"]), tuple(d["v"]))
-
-    def to_dict(self):
-        return {"kind": self.kind, "x": list(self.x), "v": list(self.v)}
-
     def _panels(self):
         """Per-panel linear coefficients (a, b) with density a + b*x on [x_i, x_{i+1}]."""
         x = np.asarray(self.x)
@@ -310,11 +281,6 @@ class TabulatedDensity:
         b = (v[1:] - v[:-1]) / (x[1:] - x[:-1])
         a = v[:-1] - b * x[:-1]
         return x, a, b
-
-    def mass(self):
-        x = np.asarray(self.x)
-        v = np.asarray(self.v)
-        return float(np.sum(0.5 * (v[1:] + v[:-1]) * (x[1:] - x[:-1])))
 
     def tail(self, t):
         if t >= self.x[-1]:
@@ -418,7 +384,7 @@ class MomentSequence:
 
 def total_mass(m: RadialMeasure) -> float:
     """Mass of [0, 1), i.e. the moment of order zero (closed forms only)."""
-    return sum(comp.mass() for comp in m.components)
+    return sum(comp.tail(0.0) for comp in m.components)
 
 
 def tail(m: RadialMeasure, t: float) -> float:
@@ -435,14 +401,8 @@ def moment(m: RadialMeasure, n: int, *, abs_tol: float = DEFAULT_TOL) -> float:
     if not 0.0 < abs_tol < math.inf:
         raise ValueError("abs_tol must be positive and finite")
 
-    def power(t):
-        if not n:
-            return np.ones_like(t)
-        with np.errstate(under="ignore"):
-            return np.exp(n * np.log(np.maximum(t, 1e-320)))
-
     share = abs_tol / len(m.components)
-    return float(sum(comp.integrate(power, share)
+    return float(sum(comp.integrate(lambda t: _power(t, n), share)
                      for comp in m.components).real)
 
 
@@ -479,11 +439,8 @@ def moment_via_tail(m: RadialMeasure, n: int) -> float:
             cut = comp._cutoff(comp.gamma, float(n))
 
             def integrand(u, comp=comp):
-                x = -np.expm1(-u)
-                with np.errstate(under="ignore"):
-                    xn = np.exp((n - 1) * np.log(np.maximum(x, 1e-320)))
                 tails = np.array([comp._tail_u(ui) for ui in u])
-                return n * xn * tails * np.exp(-u)
+                return n * _power(-np.expm1(-u), n - 1) * tails * np.exp(-u)
 
             out += float(integrate_adaptive(integrand, 0.0, cut,
                                             abs_tol=share).value.real)
@@ -493,10 +450,7 @@ def moment_via_tail(m: RadialMeasure, n: int) -> float:
             u0 = -math.log1p(-comp.t0)
 
             def integrand(u, comp=comp):
-                x = -np.expm1(-u)
-                with np.errstate(under="ignore"):
-                    xn = np.exp((n - 1) * np.log(np.maximum(x, 1e-320)))
-                return n * comp.w * xn * np.exp(-u)
+                return n * comp.w * _power(-np.expm1(-u), n - 1) * np.exp(-u)
 
             out += float(integrate_adaptive(integrand, 0.0, u0,
                                             abs_tol=share).value.real)
@@ -504,10 +458,8 @@ def moment_via_tail(m: RadialMeasure, n: int) -> float:
             x_hi = comp.x[-1]
 
             def integrand(x, comp=comp):
-                with np.errstate(under="ignore"):
-                    xn = np.exp((n - 1) * np.log(np.maximum(x, 1e-320)))
                 tails = np.array([comp.tail(xi) for xi in x])
-                return n * xn * tails
+                return n * _power(x, n - 1) * tails
 
             out += float(integrate_adaptive(integrand, 0.0, x_hi,
                                             abs_tol=share,
@@ -519,7 +471,28 @@ def moment_via_tail(m: RadialMeasure, n: int) -> float:
 # serialization
 
 
+def _spec_numbers(spec, names, others, what, error):
+    """The ``names`` present in the JSON object ``spec`` as floats, a list as
+    a tuple of floats; ``error`` for a key outside ``others`` and ``names``
+    or a value that is not a number (a JSON int or float, not a bool)."""
+    for key in spec:
+        if key not in (*others, *names):
+            raise error("unknown key %r in %s; expected only %s"
+                        % (key, what, ", ".join((*others, *names))))
+
+    def number(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise error("%s: %r is not a number" % (what, value))
+        return float(value)
+
+    return {name: (tuple(map(number, spec[name]))
+                   if isinstance(spec[name], (list, tuple))
+                   else number(spec[name]))
+            for name in names if name in spec}
+
+
 def measure_from_dict(spec) -> RadialMeasure:
+    """Build a measure from ``{"components": [...]}``."""
     if not isinstance(spec, dict) or "components" not in spec:
         raise MeasureSpecError("measure spec must be an object with 'components'")
     raw = spec["components"]
@@ -533,14 +506,16 @@ def measure_from_dict(spec) -> RadialMeasure:
         cls = _KINDS.get(kind) if isinstance(kind, str) else None
         if cls is None:
             raise MeasureSpecError("unknown component kind %r" % (kind,))
+        names = [f.name for f in fields(cls)]
+        values = _spec_numbers(entry, names, ("kind",), "%s component" % kind,
+                               MeasureSpecError)
         try:
-            comps.append(cls.from_dict(entry))
-        except MeasureSpecError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
+            comps.append(cls(**values))
+        except TypeError as exc:
             raise MeasureSpecError("bad component %r: %s" % (entry, exc)) from exc
     return RadialMeasure(tuple(comps))
 
 
 def measure_to_dict(m: RadialMeasure) -> dict:
-    return {"components": [comp.to_dict() for comp in m.components]}
+    return {"components": [{"kind": comp.kind, **asdict(comp)}
+                           for comp in m.components]}

@@ -44,7 +44,6 @@ __all__ = [
     "besov_norm",
     "mean_lipschitz_norm",
     "growth_ratio",
-    "default_z_ladder",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -271,24 +270,20 @@ def _besov_quadrature(f: PowerSeries, p: float, abs_tol: float) -> float:
     return (part1.value.real + part2.value.real / scale) ** (1.0 / p)
 
 
-def default_z_ladder(depth: int = 12):
-    """Real-axis dyadic ladder ``z_j = 1 - 2**-j``, ``j = 0..depth``."""
-    return tuple(1.0 - 2.0 ** -j for j in range(depth + 1))
-
-
 def growth_ratio(f: PowerSeries, p: float, z_ladder=None, *,
                  norm_value: float | None = None) -> float:
     """Sup of pointwise growth against the Besov norm over a ladder.
 
     Returns ``sup_z |f(z)| / (N * log(2 / (1 - |z|^2))**(1/q))`` where
     ``N`` is the Besov norm of ``f`` (recomputed unless supplied) and
-    ``q`` is the conjugate exponent of ``p``.  A bounded sup, stable as
-    the ladder deepens, witnesses the logarithmic growth estimate.
+    ``q`` is the conjugate exponent of ``p``, by default over ``z = 1 -
+    2**-j``, ``j = 0..12``.  A bounded sup, stable as the ladder deepens,
+    witnesses the logarithmic growth estimate.
     """
     if not 1.0 < p < math.inf:
         raise ValueError("growth_ratio requires 1 < p < inf")
     if z_ladder is None:
-        z_ladder = default_z_ladder()
+        z_ladder = _dyadic_radii(0)
     points = [complex(z) for z in z_ladder]
     if not points:
         raise ValueError("growth_ratio requires a nonempty ladder")

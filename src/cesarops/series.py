@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from cesarops.measure import MomentSequence, RadialMeasure
+from cesarops.measure import MomentSequence, RadialMeasure, _spec_numbers
 # the integral route runs through RadialMeasure components; the name stays
 # importable here because bench/test_bench.py checks that tracing restores it
 from cesarops.quadrature import integrate_adaptive  # noqa: F401
@@ -195,17 +195,18 @@ def test_function(t: float, p: float, degree: int) -> PowerSeries:
     return PowerSeries(scale * coeffs)
 
 
-_BUILTINS = ("log_one_over_one_minus_z", "test_function")
+_BUILTINS = {"log_one_over_one_minus_z": ((), log_series),
+             "test_function": (("t", "p"), test_function)}
 
 
 def function_from_dict(spec) -> PowerSeries:
     """Build a series from a JSON-style dict.
 
     Either explicit coefficients ``{"coeffs_re": [...], "coeffs_im": [...]}``
-    (the imaginary part is optional) or a builtin
-    ``{"builtin": <name>, ...}`` with name ``log_one_over_one_minus_z`` or
-    ``test_function``; the builtins take an integer ``degree >= 1``
-    (default 256) and, for the test function, ``t`` and ``p``.
+    (the imaginary part is optional) or a builtin ``{"builtin": <name>,
+    ...}`` named ``log_one_over_one_minus_z`` or ``test_function``, which
+    takes an integer ``degree >= 1`` (default 256) and, for the test
+    function, the numbers ``t`` and ``p``; any other key is refused.
     """
     if not isinstance(spec, dict):
         raise FunctionSpecError("function spec must be an object")
@@ -216,23 +217,22 @@ def function_from_dict(spec) -> PowerSeries:
                 or degree < 1):
             raise FunctionSpecError(
                 "builtin 'degree' must be an integer >= 1, got %r" % (degree,))
-        if name == "log_one_over_one_minus_z":
-            return PowerSeries(log_series(degree).coeffs)
-        if name == "test_function":
-            try:
-                t = float(spec["t"])
-                p = float(spec["p"])
-            except KeyError as exc:
-                raise FunctionSpecError(
-                    "test_function builtin needs 't' and 'p'") from exc
-            return test_function(t, p, degree)
-        raise FunctionSpecError("unknown builtin %r; expected one of %s"
-                                % (name, ", ".join(_BUILTINS)))
+        if not isinstance(name, str) or name not in _BUILTINS:
+            raise FunctionSpecError("unknown builtin %r; expected one of %s"
+                                    % (name, ", ".join(_BUILTINS)))
+        keys, build = _BUILTINS[name]
+        args = _spec_numbers(spec, keys, ("builtin", "degree"),
+                             "builtin %r" % name, FunctionSpecError)
+        if len(args) < len(keys):
+            raise FunctionSpecError("%s builtin needs %s" % (
+                name, " and ".join(map(repr, keys))))
+        return build(*args.values(), degree)
     if "coeffs_re" not in spec:
         raise FunctionSpecError("function spec needs 'coeffs_re' or 'builtin'")
-    re = np.asarray(spec["coeffs_re"], dtype=float)
-    im = np.asarray(spec.get("coeffs_im", np.zeros_like(re)), dtype=float)
+    coeffs = _spec_numbers(spec, ("coeffs_re", "coeffs_im"), (),
+                           "coefficient spec", FunctionSpecError)
+    re = np.asarray(coeffs["coeffs_re"], dtype=float)
+    im = np.asarray(coeffs.get("coeffs_im", np.zeros_like(re)), dtype=float)
     if re.shape != im.shape:
         raise FunctionSpecError("'coeffs_re' and 'coeffs_im' lengths differ")
     return PowerSeries(re + 1j * im)
-

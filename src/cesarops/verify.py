@@ -227,9 +227,9 @@ def _experiment(theorem, m, p, s, config, rule):
                          "decay exponent fits the last four rungs" % theorem)
     bounded = theorem == "boundedness"
     ts = config.t_ladder()
-    max_degree = max(config.degree(j) for j in
-                     range(1, config.ladder_depth + 1))
-    mu = compute_moments(m, max(max_degree, config.classifier_n_max))
+    mu = compute_moments(m, max(config.degree(config.ladder_depth),
+                                config.classifier_n_max,
+                                2 ** config.lower_depth))
     ladder, bloch = [], []
     for j, t in enumerate(ts, start=1):
         f = test_function(t, p, config.degree(j))

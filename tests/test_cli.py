@@ -192,6 +192,14 @@ def test_infinite_p_is_an_input_error(capsys, function, kind):
      "'degree' must be an integer >= 1, got True"),
     ({"builtin": "log_one_over_one_minus_z", "degree": "16"},
      "'degree' must be an integer >= 1, got '16'"),
+    # strings and bools were coerced to numbers, and unknown keys skipped
+    ({"coeffs_re": "12"}, "'12' is not a number"),
+    ({"coeffs_re": [1, 2], "coeffs_im": [True, False]},
+     "True is not a number"),
+    ({"builtin": "test_function", "t": "0.5", "p": "2", "degree": 4},
+     "'0.5' is not a number"),
+    ({"builtin": "test_function", "t": 0.5, "p": 2, "degree": 4, "tt": 1},
+     "unknown key 'tt' in builtin 'test_function'"),
 ])
 def test_malformed_function_spec_is_an_input_error(capsys, tmp_path, spec,
                                                     message):
@@ -316,6 +324,17 @@ def test_malformed_json_file_is_an_input_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: invalid JSON in %s: " % path)
+
+
+def test_misspelled_measure_key_is_an_input_error(capsys, tmp_path):
+    # read as beta = 0, this measure was classified "diverging" at exit 0
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"components": [
+        {"kind": "power_log", "c": 1.0, "gamma": 1.0, "bta": 1.0}]}))
+    code, out, err = run(capsys, "classify", "--measure", str(path),
+                         "--s", "1", "--alpha", "1")
+    assert code == 2 and out == ""
+    assert "unknown key 'bta' in power_log component" in err
 
 
 def test_missing_required_flag_exits_two(capsys):

@@ -16,7 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cesarops.carleson import CarlesonParams, classify_measure
-from cesarops.catalog import resolve_measure
+from cesarops.catalog import (
+    builtin_measure_names,
+    load_builtin_measure,
+    resolve_measure,
+)
 from cesarops.measure import (
     MeasureSpecError,
     MomentSequence,
@@ -150,6 +154,14 @@ def test_total_mass_is_moment_zero(catalog):
         assert total_mass(m) == pytest.approx(moment(m, 0), abs=1e-12)
 
 
+def test_total_mass_is_the_tail_at_zero(hat_table):
+    for name in builtin_measure_names():
+        m = load_builtin_measure(name)
+        assert total_mass(m) == tail(m, 0.0), name
+    # closed-form panel areas: 0.15 + 0.33 + 0.24
+    assert total_mass(hat_table) == 0.72
+
+
 def test_measure_dict_round_trip(catalog, hat_table):
     for m in list(catalog.values()) + [hat_table]:
         again = measure_from_dict(measure_to_dict(m))
@@ -176,10 +188,64 @@ def test_measure_file_round_trip(tmp_path, catalog):
     {"components": [{"kind": "table", "x": [0.0, 1.0], "v": [1.0, 1.0]}]},
     {"components": [{"kind": "point", "w": 0.0, "t0": 0.5}]},
     {"components": [{"kind": "mystery"}]},
+    # a misspelled beta was skipped and read as beta = 0
+    {"components": [{"kind": "power_log", "c": 1.0, "gamma": 1.0,
+                     "bta": 1.0}]},
+    # strings and bools were coerced to numbers
+    {"components": [{"kind": "point", "w": True, "t0": 0.5}]},
+    {"components": [{"kind": "point", "w": 1, "t0": False}]},
+    {"components": [{"kind": "power_log", "c": "1", "gamma": "1"}]},
+    {"components": [{"kind": "table", "x": [0, 0.5], "v": [True, True]}]},
+    {"components": [{"kind": "power_log", "c": 1.0}]},
 ])
 def test_invalid_specs_rejected(bad):
-    with pytest.raises((MeasureSpecError, KeyError, TypeError)):
+    with pytest.raises(MeasureSpecError):
         measure_from_dict(bad)
+
+
+@pytest.mark.parametrize("component, key", [
+    ({"kind": "power_log", "c": 1.0, "gamma": 1.0, "bta": 1.0}, "bta"),
+    ({"kind": "point", "w": 1.0, "t0": 0.5, "t": 0.5}, "t"),
+    ({"kind": "table", "x": [0.0, 0.5], "v": [1.0, 1.0], "y": [0.0]}, "y"),
+])
+def test_each_kind_refuses_a_key_outside_its_fields(component, key):
+    message = "unknown key %r in %s component" % (key, component["kind"])
+    with pytest.raises(MeasureSpecError, match=message):
+        measure_from_dict({"components": [component]})
+
+
+_NUMBERS = st.one_of(st.integers(1, 5), st.floats(0.05, 5.0))
+_TABLES = st.lists(st.floats(0.001, 0.999), min_size=1, max_size=4,
+                   unique=True).flatmap(lambda xs: st.fixed_dictionaries({
+                       "kind": st.just("table"), "x": st.just([0] + sorted(xs)),
+                       "v": st.lists(_NUMBERS, min_size=len(xs) + 1,
+                                     max_size=len(xs) + 1)}))
+_COMPONENTS = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just("power_log"), "c": _NUMBERS, "gamma": _NUMBERS},
+        optional={"beta": st.one_of(st.integers(0, 3), st.floats(0.0, 3.0))}),
+    st.fixed_dictionaries({"kind": st.just("point"), "w": _NUMBERS,
+                           "t0": st.one_of(st.just(0), st.floats(0.0, 0.999))}),
+    _TABLES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(components=st.lists(_COMPONENTS, min_size=1, max_size=3))
+def test_spec_round_trip_gives_the_numbers_as_floats(components):
+    m = measure_from_dict({"components": components})
+    written = measure_to_dict(m)["components"]
+    for spec, back in zip(components, written, strict=True):
+        want = {key: (value if key == "kind" else
+                      tuple(map(float, value)) if isinstance(value, list)
+                      else float(value)) for key, value in spec.items()}
+        if spec["kind"] == "power_log":
+            want.setdefault("beta", 0.0)
+        assert back == want
+        for key, value in back.items():
+            if key != "kind":
+                values = value if isinstance(value, tuple) else (value,)
+                assert all(type(v) is float for v in values)
+    assert measure_from_dict({"components": written}) == m
 
 
 def test_moment_arguments_validated(catalog):

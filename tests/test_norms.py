@@ -20,7 +20,6 @@ from cesarops.norms import (
     besov_norm,
     bloch_norm,
     circle_values,
-    default_z_ladder,
     growth_ratio,
     integral_mean,
     mean_lipschitz_norm,
@@ -269,9 +268,10 @@ def test_growth_ratio_argument_validation():
         growth_ratio(PowerSeries([0.0]), 2.0)
 
 
-def test_default_z_ladder_is_dyadic():
-    ladder = default_z_ladder(3)
-    assert ladder == (0.0, 0.5, 0.75, 0.875)
+def test_growth_ratio_default_ladder_is_dyadic():
+    f = log_series(64)
+    dyadic = tuple(1.0 - 2.0 ** -j for j in range(13))
+    assert growth_ratio(f, 2.0) == growth_ratio(f, 2.0, z_ladder=dyadic)
 
 
 # ------------------------------------------------------------- properties

@@ -96,6 +96,15 @@ def test_boundedness_clears_the_atom(catalog):
     assert report.trend_fits["ratio"].label == "finite-looking"
 
 
+def test_lower_depth_beyond_the_classifier_table_is_covered(catalog):
+    # the moment table stopped at classifier_n_max: IndexError at N = 2048
+    config = ExperimentConfig(ladder_depth=4, lower_depth=12,
+                              classifier_n_max=2 ** 10)
+    report = boundedness_experiment(catalog["atom09"], 2.0, 2.0, config)
+    assert report.lower_ns[-1] == 4096
+    assert all(math.isfinite(v) for v in report.lower_values)
+
+
 def test_compactness_flags_lebesgue(catalog):
     report = compactness_experiment(catalog["lebesgue"], 2.0, 2.0, CHEAP)
     assert report.verdict == VERDICT_NOT_COMPACT
