@@ -473,8 +473,9 @@ def moment_via_tail(m: RadialMeasure, n: int) -> float:
 
 def _spec_numbers(spec, names, others, what, error):
     """The ``names`` present in the JSON object ``spec`` as floats, a list as
-    a tuple of floats; ``error`` for a key outside ``others`` and ``names``
-    or a value that is not a number (a JSON int or float, not a bool)."""
+    a tuple of floats; ``error`` for a key outside ``others`` and ``names``,
+    a value that is not a number (a JSON int or float, not a bool) or an
+    int beyond the float range."""
     for key in spec:
         if key not in (*others, *names):
             raise error("unknown key %r in %s; expected only %s"
@@ -483,7 +484,11 @@ def _spec_numbers(spec, names, others, what, error):
     def number(value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise error("%s: %r is not a number" % (what, value))
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise error("%s: an integer beyond the float range"
+                        % what) from exc
 
     return {name: (tuple(map(number, spec[name]))
                    if isinstance(spec[name], (list, tuple))

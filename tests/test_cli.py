@@ -337,6 +337,23 @@ def test_misspelled_measure_key_is_an_input_error(capsys, tmp_path):
     assert "unknown key 'bta' in power_log component" in err
 
 
+@pytest.mark.parametrize("argv, template, message", [
+    (("moments", "--measure"),
+     '{"components": [{"kind": "point", "w": %s, "t0": 0.5}]}',
+     "point component: an integer beyond the float range"),
+    (("norm", "--function"), '{"coeffs_re": [1, %s]}',
+     "coefficient spec: an integer beyond the float range"),
+], ids=["measure", "function"])
+def test_integer_beyond_the_float_range_is_an_input_error(
+        capsys, tmp_path, argv, template, message):
+    # float() of 10**400 raised OverflowError, reported as a numerical
+    # failure with exit 3
+    path = tmp_path / "huge.json"
+    path.write_text(template % ("1" + "0" * 400))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == "" and message in err
+
+
 def test_missing_required_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["moments"])

@@ -9,6 +9,7 @@ norms against functions whose extremal radius is known exactly.
 
 import math
 import time
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cesarops import norms
 from cesarops.norms import (
     besov_norm,
     bloch_norm,
@@ -94,6 +96,32 @@ def test_mean_p_matches_riemann_sum(rng, p):
     for r in (0.3, 0.85):
         assert integral_mean(f, r, p) == pytest.approx(
             brute_mean(f, r, p), rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), degree=st.integers(0, 40),
+       r=st.floats(0.0, 1.0), p=st.floats(1.1, 4.0), vanish=st.booleans(),
+       adaptive=st.just(False))
+@example(seed=7, degree=12, r=1.0, p=1.5, vanish=True, adaptive=True)
+def test_mean_p_matches_riemann_sum_on_random_series(seed, degree, r, p,
+                                                     vanish, adaptive):
+    # With ``vanish`` the series is shifted to vanish at z = r, so |f|**p
+    # has a kink on the circle.  The Riemann sum's own error there decays
+    # only like m**-(p+1), about 2e-9 relative at p = 1.1 and m = 2**16, so
+    # it takes 2**18 angles.  ``adaptive`` (set by the example) asserts that
+    # the trapezoid rule on the samples did not settle such a kink and the
+    # mean came from the adaptive angular quadrature.
+    coeffs = random_series(np.random.default_rng(seed), degree).coeffs
+    if vanish:
+        coeffs[0] -= npoly.polyval(r, coeffs)
+    f = PowerSeries(coeffs)
+    with mock.patch.object(norms, "integrate_adaptive",
+                           wraps=norms.integrate_adaptive) as spy:
+        got = integral_mean(f, r, p)
+    want = brute_mean(f, r, p, m=1 << (18 if vanish else 16))
+    assert got == pytest.approx(want, rel=1e-9)
+    if adaptive:
+        assert spy.called
 
 
 def test_mean_derivative_flag_equals_explicit_derivative(rng):
@@ -198,24 +226,44 @@ def test_besov_norm_of_identity_is_one():
     assert est.value == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("p", [1.5, 3.0])
-def test_besov_norm_matches_mpmath_radial_integral(p):
-    # f' = 2 + z is zero-free on every circle, so the angular mean is
-    # smooth and a uniform grid nails it; mpmath's tanh-sinh rule then
-    # absorbs the (1-r)^(p-2) endpoint singularity of the radial factor.
-    f = PowerSeries([0.3, 2.0, 0.25])
+def mpmath_besov(f, p):
+    """Besov norm by mpmath's tanh-sinh rule, which absorbs the
+    (1-r)^(p-2) endpoint singularity of the radial factor, over
+    Riemann-sum means of f' on 4096 angles."""
+    df = derivative(f)
 
     def radial(x):
         # x = 1 - r; the x**(p-2) factor stays in mpmath so the
         # tanh-sinh nodes next to x = 0 do not underflow to 0**(-1/2).
         x = mpmath.mpf(x)
         r = float(1.0 - x)
-        mean_p = brute_mean(derivative(f), r, p, m=4096) ** p
+        mean_p = brute_mean(df, r, p, m=4096) ** p
         return x ** (p - 2.0) * float((2.0 - x) ** (p - 2.0)) * 2.0 * r * mean_p
 
-    brute = float(mpmath.quad(radial, [0.0, 0.05, 0.5, 1.0])) ** (1.0 / p)
+    semi = float(mpmath.quad(radial, [0.0, 0.05, 0.5, 1.0])) ** (1.0 / p)
+    return abs(complex(f.coeffs[0])) + semi
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_besov_norm_matches_mpmath_radial_integral(p):
+    # f' = 2 + z is zero-free on every circle, so the angular mean is
+    # smooth and a uniform grid nails it.
+    f = PowerSeries([0.3, 2.0, 0.25])
     est = besov_norm(f, p)
-    assert est.value == pytest.approx(0.3 + brute, rel=1e-8)
+    assert est.value == pytest.approx(mpmath_besov(f, p), rel=1e-8)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_besov_norm_of_a_large_series_terminates(p):
+    # At the absolute tolerance 1e-10 this input (radial integral about
+    # 1e5 at p = 1.5) gave no result within 30 s at either p: the
+    # tolerance lay below the integrand's rounding floor.  It is now 1e-10
+    # relative to the integral.
+    f = PowerSeries(30 * np.random.default_rng(1).standard_normal(40))
+    start = time.perf_counter()
+    est = besov_norm(f, p)
+    assert time.perf_counter() - start < 30.0
+    assert est.value == pytest.approx(mpmath_besov(f, p), rel=1e-8)
 
 
 def test_besov_norm_at_p2_is_the_closed_form_without_quadrature():

@@ -10,7 +10,7 @@ from cesarops.measure import PowerLogDensity
 from cesarops.quadrature import (_BLOCK, QuadratureError, QuadResult,
                                  gauss_rule, integrate_adaptive)
 from cesarops.series import (PowerSeries, cesaro_like_derivative_eval,
-                             cesaro_like_integral_eval)
+                             cesaro_like_integral_eval, evaluate)
 
 
 # The depth-first recursion that integrate_adaptive replaced, kept verbatim
@@ -286,9 +286,13 @@ def test_integrands_are_elementwise_across_array_lengths(monkeypatch):
             monkeypatch, measure, lambda: route(hat_table, f, z))
         assert len(kernels) == 1
         _sliced_like_panels(kernels[0], t)
-    # the angular integrand of the p != 2 integral means
-    kernels = _captured_integrands(
-        monkeypatch, norms, lambda: norms.integral_mean(f, 0.9, 3.0))
+    # the angular integrand of the p != 2 integral means, which only a
+    # kink reaches: shifted to vanish at z = 0.9, |f|**1.5 has one on the
+    # circle, and the trapezoid rule on the samples does not settle
+    kinked = coeffs.copy()
+    kinked[0] -= evaluate(f, 0.9)
+    kernels = _captured_integrands(monkeypatch, norms, lambda: (
+        norms.integral_mean(PowerSeries(kinked), 0.9, 1.5)))
     assert len(kernels) == 1
     _sliced_like_panels(kernels[0], theta)
 
