@@ -11,9 +11,10 @@ Three families are implemented, all built from values of the derivative:
 ``M_p(r, g)`` is the p-th integral mean over the circle of radius ``r``:
 the Parseval sum ``(sum |b_n|**2 r**(2n))**(1/2)`` when ``p = 2``.
 Otherwise it is the trapezoid rule on ``m`` FFT samples of the circle,
-accepted when the rule on every other sample agrees, and adaptive
-quadrature in the angle where it does not (a kink of ``|g|**p`` where
-``g`` vanishes on or near the circle); see :func:`integral_mean`.
+accepted when the rules on every second and every fourth sample agree,
+and adaptive quadrature in the angle where they do not (a kink of
+``|g|**p`` where ``g`` vanishes on or near the circle); see
+:func:`integral_mean`.
 
 The two sup-type norms are estimated on nested dyadic ladders: level ``l``
 uses radii ``r = 1 - 2**(-j / 2**l)`` for ``j = 0 .. 12 * 2**l`` and, for
@@ -121,15 +122,20 @@ def integral_mean(f: PowerSeries, r: float, p: float, *,
     coefficients alone, ``M_2(r, f)**2 = sum |a_n|**2 r**(2n)``.  For
     other ``p`` the modulus is no longer a trigonometric polynomial, so
     the mean of ``|f|**p`` over the ``m`` sample angles of
-    :func:`circle_values` (the trapezoid rule) is checked against the mean
-    over every other angle.  The error of the ``m``-point rule is then at
-    most the difference of the two: it decays geometrically in ``m`` when
-    ``|f|**p`` is smooth, and like ``m**-(p+1)`` at a kink, where ``f``
-    vanishes on the circle; either way the ``m/2``-point error is the
-    larger.  When the two agree within ``1e-11 * max|f|**p`` the
-    ``m``-point mean is returned.  Otherwise -- ``f`` vanishes on or near
-    the circle -- the angle integral runs through the adaptive panel
-    scheme, which refines locally around the kinks, to the same tolerance.
+    :func:`circle_values` (the trapezoid rule) is checked against the
+    means over every second and every fourth angle.  When ``|f|**p`` is
+    smooth the error decays geometrically in the number of angles, so the
+    ``m/2``-point error bounds the ``m``-point one; ``m`` is at least four
+    times the length of ``f``, so even the ``m/4``-point rule is exact for
+    ``|f|**2``.  At a kink, where ``f`` vanishes
+    on the circle, the error is ``C h**(p+1) phi(s)``, with ``h`` the
+    angle step and ``phi`` oscillating in the kink's offset ``s`` within a
+    step: at some offsets two consecutive rules agree while both are
+    wrong, but generically not three.  When the three means agree within
+    ``1e-11 * max|f|**p`` the ``m``-point mean is returned.  Otherwise --
+    ``f`` vanishes on or near the circle -- the angle integral runs
+    through the adaptive panel scheme, which refines locally around the
+    kinks, to the same tolerance.
     """
     if not 0.0 < p < math.inf:
         raise ValueError("integral mean requires 0 < p < inf")
@@ -139,15 +145,15 @@ def integral_mean(f: PowerSeries, r: float, p: float, *,
         f = derivative(f)
     if p == 2.0:
         return float(np.sqrt(_mean_squares(f.coeffs, np.array([r]))[0]))
-    m = _next_pow2(max(256, 2 * f.coeffs.size))
+    m = _next_pow2(max(512, 4 * f.coeffs.size))
     moduli = np.abs(circle_values(f, r, m))
     peak = float(moduli.max())
     if peak == 0.0:
         return 0.0
     powers = moduli ** p
-    full, half = float(np.mean(powers)), float(np.mean(powers[::2]))
-    if abs(full - half) <= 1e-11 * peak ** p:
-        return full ** (1.0 / p)
+    means = [float(np.mean(powers[::k])) for k in (1, 2, 4)]
+    if max(means) - min(means) <= 1e-11 * peak ** p:
+        return means[0] ** (1.0 / p)
     coeffs = f.coeffs
 
     def integrand(theta):
@@ -230,8 +236,8 @@ def besov_norm(f: PowerSeries, p: float) -> NormEstimate:
     """Besov norm for ``1 < p < inf`` (normalized area measure).
 
     At ``p = 2`` it is the closed form ``|a_0| + (sum n |a_n|**2)**(1/2)``
-    (Parseval).  Otherwise it is :func:`_besov_quadrature` to the absolute
-    tolerance 1e-10.
+    (Parseval).  Otherwise it is :func:`_besov_quadrature` to the
+    tolerance ``1e-10 * max(1, S)``, ``S`` the radial integral.
     """
     if not 1.0 < p < math.inf:
         raise ValueError(
@@ -242,14 +248,13 @@ def besov_norm(f: PowerSeries, p: float) -> NormEstimate:
         semi = float(np.sum(n * np.abs(f.coeffs) ** 2)) ** 0.5
         grid = "closed form (Parseval), p = 2"
     else:
-        semi = _besov_quadrature(f, p, 1e-10, rel_tol=1e-10)
+        semi = _besov_quadrature(f, p, 1e-10)
         grid = "adaptive radial quadrature, split at r = 1/2"
     value = abs(complex(f.coeffs[0])) + semi
     return NormEstimate(value, (value,), True, grid)
 
 
-def _besov_quadrature(f: PowerSeries, p: float, abs_tol: float, *,
-                      rel_tol: float = 0.0) -> float:
+def _besov_quadrature(f: PowerSeries, p: float, rel_tol: float) -> float:
     """Besov seminorm by adaptive radial quadrature.
 
     The radial integral ``S`` is split at ``r = 1/2``; the outer part runs
@@ -257,8 +262,8 @@ def _besov_quadrature(f: PowerSeries, p: float, abs_tol: float, *,
     factor ``(1-r^2)**(p-2)`` into a smooth ``v**2``, so the panel
     subdivision converges at every ``p > 1``.
 
-    ``S`` is computed to the tolerance ``max(abs_tol, rel_tol * S)``, with
-    ``S`` estimated by one 16-node Gauss pass over each part: an absolute
+    ``S`` is computed to the tolerance ``rel_tol * max(1, S)``, with ``S``
+    estimated by one 16-node Gauss pass over each part: an absolute
     tolerance alone lies below the rounding floor of a large integral.
     """
     df = derivative(f)
@@ -288,10 +293,9 @@ def _besov_quadrature(f: PowerSeries, p: float, abs_tol: float, *,
         return v * v * 2.0 * r * (2.0 - x) ** (p - 2.0) * means_pow(r)
 
     scale = 2.0 ** (p - 1.0) * (p - 1.0) / 3.0
-    if rel_tol > 0.0:
-        xs, ws = gauss_rule(16)
-        size = 0.5 * ws @ inner(0.5 * xs) + ws @ outer(xs) / scale
-        abs_tol = max(abs_tol, rel_tol * size)
+    xs, ws = gauss_rule(16)
+    size = 0.5 * ws @ inner(0.5 * xs) + ws @ outer(xs) / scale
+    abs_tol = rel_tol * max(1.0, size)
     part1 = integrate_adaptive(inner, 0.0, 0.5, abs_tol=abs_tol / 2.0)
     part2 = integrate_adaptive(outer, 0.0, 1.0,
                                abs_tol=abs_tol / 2.0 * scale)
