@@ -14,7 +14,10 @@ Otherwise it is the trapezoid rule on ``m`` FFT samples of the circle,
 accepted when the rules on every second and every fourth sample agree,
 and adaptive quadrature in the angle where they do not (a kink of
 ``|g|**p`` where ``g`` vanishes on or near the circle); see
-:func:`integral_mean`.
+:func:`integral_mean`.  The samples (:func:`circle_values`, also behind
+the Bloch ladder) keep only the terms whose ``r**n`` is a normal float
+and, for real coefficients, come from the real FFT and the mirror
+``g(conj z) = conj g(z)``.
 
 The two sup-type norms are estimated on nested dyadic ladders: level ``l``
 uses radii ``r = 1 - 2**(-j / 2**l)`` for ``j = 0 .. 12 * 2**l`` and, for
@@ -32,6 +35,7 @@ exactly (see :func:`besov_norm`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +55,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+#: log of the smallest normal float: ``r**n`` is subnormal beyond it
+_LOG_TINY = math.log(sys.float_info.min)
 #: coefficients per Parseval block: 0.4 MB of powers at 193 radii
 _PARSEVAL_BLOCK = 256
 #: levels of the nested dyadic ladder behind both sup-type norms
@@ -81,21 +87,34 @@ def _next_pow2(n: int) -> int:
 def circle_values(f: PowerSeries, r: float, m: int) -> np.ndarray:
     """Values of ``f`` at the ``m`` points ``r * exp(2 pi i k / m)``.
 
-    Folding the scaled coefficients modulo ``m`` before the inverse FFT
-    gives exact sample values for every ``m >= 1``.
+    Only the terms whose ``r**n`` is a normal float, ``n <= log(tiny) /
+    log(r)`` with ``tiny = sys.float_info.min``, are kept.  The dropped
+    tail is at most ``tiny * sum |a_n|`` in modulus; subnormal powers are
+    slow to compute and lose every term below ``2**-1074`` anyway.
+    Folding the scaled coefficients modulo ``m`` before the FFT gives
+    exact sample values for every ``m >= 1``.  Real coefficients take the
+    real FFT for the angles ``k <= m/2`` and the mirror ``f(conj z) =
+    conj f(z)`` for the rest; complex ones take the complex inverse FFT.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError("circle radius must lie in [0, 1]")
     if m < 1:
         raise ValueError("need at least one sample angle")
-    n = np.arange(f.coeffs.size)
-    with np.errstate(under="ignore"):
-        scaled = f.coeffs * r ** n
-    pad = (-scaled.size) % m
-    if pad:
-        scaled = np.concatenate([scaled, np.zeros(pad, dtype=complex)])
-    folded = scaled.reshape(-1, m).sum(axis=0)
-    return np.fft.ifft(folded) * m
+    coeffs = f.coeffs
+    if r < 1.0:
+        keep = 1 if r == 0.0 else int(_LOG_TINY / math.log(r)) + 1
+        coeffs = coeffs[:keep]
+    real = not coeffs.imag.any()
+    if real:
+        coeffs = coeffs.real
+    scaled = coeffs * r ** np.arange(coeffs.size)
+    if scaled.size > m:
+        scaled = np.pad(scaled, (0, -scaled.size % m))
+        scaled = scaled.reshape(-1, m).sum(axis=0)
+    if not real:
+        return np.fft.ifft(scaled, m, norm="forward")
+    half = np.fft.rfft(scaled, m)
+    return np.concatenate([half.conj(), half[(m - 1) // 2:0:-1]])
 
 
 def _mean_squares(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
