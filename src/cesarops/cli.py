@@ -50,7 +50,8 @@ from cesarops.verify import (
     proposition21_experiment,
 )
 
-_INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError)
+#: MemoryError: an input too large to allocate, such as a huge builtin degree
+_INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError, MemoryError)
 
 
 def _fmt(x: float) -> str:

@@ -91,25 +91,24 @@ def evaluate(f: PowerSeries, z):
 def derivative(f: PowerSeries) -> PowerSeries:
     if f.degree == 0:
         return PowerSeries(np.zeros(1, dtype=complex))
-    return PowerSeries(npoly.polyder(f.coeffs))
+    return PowerSeries(f.coeffs[1:] * np.arange(1, f.coeffs.size))
 
 
 def partial_sums(f: PowerSeries) -> np.ndarray:
-    """Partial-sum sequence ``s_n = a_0 + ... + a_n``.
+    """Partial-sum sequence ``s_n = a_0 + ... + a_n``, compensated.
 
-    Accumulated with Kahan compensation so long oscillatory coefficient
-    sequences do not lose cancelled digits.
+    Prefix Sum2 (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005): TwoSum
+    gives the exact error of each running sum of ``cumsum`` (which adds left
+    to right); the running sum of those errors is added back.  Each real and
+    imaginary part is within ``u |s_n| + (n u)**2 sum_{k<=n} |a_k|`` to first
+    order (``u = 2**-53``): below 1e8 terms, no weaker than Kahan's ``2u sum``.
     """
-    out = np.empty_like(f.coeffs)
-    total = 0.0 + 0.0j
-    carry = 0.0 + 0.0j
-    for i, a in enumerate(f.coeffs):
-        y = a - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-        out[i] = total
-    return out
+    a = f.coeffs
+    sums = np.cumsum(a)
+    prev = np.concatenate(([0.0], sums[:-1]))
+    step = sums - prev
+    err = (prev - (sums - step)) + (a - step)
+    return sums + np.cumsum(err)
 
 
 def cesaro_like(mu: MomentSequence, f: PowerSeries) -> PowerSeries:

@@ -314,6 +314,21 @@ def test_failed_write_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["norm", "apply"])
+def test_allocation_failure_is_an_input_error(capsys, monkeypatch, command):
+    # a builtin degree too large to allocate fails in resolve_function
+    def refuse(spec):
+        raise MemoryError("Unable to allocate 1.46 TiB")
+
+    monkeypatch.setattr("cesarops.cli.resolve_function", refuse)
+    argv = (command, "--function", "log_series")
+    if command == "apply":
+        argv += ("--measure", "lebesgue")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: Unable to allocate 1.46 TiB\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("moments", "--measure"),
     ("norm", "--function"),

@@ -28,7 +28,7 @@ from cesarops.norms import (
     mean_lipschitz_norm,
 )
 from cesarops.norms import _besov_quadrature, _dyadic_radii, _next_pow2
-from cesarops.series import PowerSeries, derivative, log_series
+from cesarops.series import PowerSeries, derivative, evaluate, log_series
 from cesarops.series import test_function as make_test_function
 
 from conftest import random_series
@@ -333,9 +333,9 @@ def test_besov_norm_rejects_exponent_one():
 
 
 def test_growth_ratio_of_constant_against_unit_norm():
-    # With the norm pinned to 1 the sup is attained at z = 0, where the
+    # The Besov norm of 1 is 1, so the sup is attained at z = 0, where the
     # logarithmic weight is smallest: 1 / sqrt(log 2).
-    got = growth_ratio(PowerSeries([1.0]), 2.0, norm_value=1.0)
+    got = growth_ratio(PowerSeries([1.0]), 2.0)
     assert got == pytest.approx(1.0 / math.sqrt(math.log(2.0)), rel=1e-12)
 
 
@@ -344,17 +344,20 @@ def test_growth_ratio_argument_validation():
     with pytest.raises(ValueError):
         growth_ratio(f, 1.0)
     with pytest.raises(ValueError):
-        growth_ratio(f, 2.0, z_ladder=())
-    with pytest.raises(ValueError):
-        growth_ratio(f, 2.0, z_ladder=(1.0,))
-    with pytest.raises(ValueError):
         growth_ratio(PowerSeries([0.0]), 2.0)
 
 
 def test_growth_ratio_default_ladder_is_dyadic():
-    f = log_series(64)
-    dyadic = tuple(1.0 - 2.0 ** -j for j in range(13))
-    assert growth_ratio(f, 2.0) == growth_ratio(f, 2.0, z_ladder=dyadic)
+    # the ratio at z = 1 - 2**-j, j = 0..12, one point at a time; the peak
+    # for z**6 lies between two of these radii, so a finer ladder shows
+    for f in (log_series(64), PowerSeries([0.0] * 6 + [1.0])):
+        norm = besov_norm(f, 2.0).value
+        ratios = []
+        for j in range(13):
+            z = 1.0 - 2.0 ** -j
+            weight = math.sqrt(math.log(2.0 / (1.0 - z * z)))
+            ratios.append(abs(evaluate(f, z)) / (norm * weight))
+        assert growth_ratio(f, 2.0) == pytest.approx(max(ratios), rel=1e-14)
 
 
 # ------------------------------------------------------------- properties

@@ -8,6 +8,7 @@ the production implementation would show up as a mismatch.
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,12 +59,52 @@ def test_lebesgue_reduces_to_classical_averages(catalog, rng):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def _fsum_prefixes(coeffs):
+    """Correctly rounded partial sums, real and imaginary parts apart."""
+    return np.array([complex(math.fsum(coeffs.real[:n + 1]),
+                             math.fsum(coeffs.imag[:n + 1]))
+                     for n in range(coeffs.size)])
+
+
 def test_partial_sums_are_compensated():
-    f = PowerSeries([1.0, -1.0, 1e-18, 1e-18])
-    sums = partial_sums(f)
-    assert sums[1] == 0.0
-    assert sums[2] == 1e-18
-    assert sums[3] == 2e-18
+    for coeffs in (
+        [1.0, -1.0, 1e-18, 1e-18],
+        # a plain cumsum loses every small term: 1 + 1e-16 rounds to 1
+        [1.0] + [1e-16] * 10,
+        # Kahan's loop returns 0 at the end: it rounds its carry away in -1
+        [1.0, 1e-18, -1.0],
+        np.array([1.0, 1e-18, -1.0]) * (1.0 - 2.0j),
+    ):
+        f = PowerSeries(coeffs)
+        assert np.array_equal(partial_sums(f), _fsum_prefixes(f.coeffs))
+
+
+@st.composite
+def _spread_cancelling_series(draw):
+    """Up to 400 complex coefficients with magnitudes over 1e-20..1e20,
+    about a third of them the negative of an earlier coefficient."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = (rng.choice([-1.0, 1.0], (2, n))
+             * 10.0 ** rng.uniform(-20.0, 20.0, (2, n)))
+    coeffs = parts[0] + 1j * parts[1]
+    for k in np.flatnonzero(rng.random(n) < 1.0 / 3.0)[1:]:
+        coeffs[k] = -coeffs[rng.integers(0, k)]
+    return coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_spread_cancelling_series())
+def test_partial_sums_meet_the_compensated_bound(coeffs):
+    # |s_n - fsum| <= 2 eps |s_n| + (N eps)**2 sum_{k<=n} |a_k|, the Sum2
+    # bound with slack; a plain cumsum or Kahan's loop breaks it when a
+    # large term cancels and leaves small ones behind
+    eps = np.finfo(float).eps
+    got = partial_sums(PowerSeries(coeffs))
+    want = _fsum_prefixes(coeffs)
+    bound = (2.0 * eps * np.abs(want)
+             + (coeffs.size * eps) ** 2 * np.cumsum(np.abs(coeffs)))
+    assert np.all(np.abs(got - want) <= bound)
 
 
 def test_integral_route_matches_series_route(catalog, hat_table, rng):
@@ -186,6 +227,15 @@ def test_derivative_basics(rng):
     for k in range(5):
         assert d.coeffs[k] == pytest.approx((k + 1) * f.coeffs[k + 1],
                                             rel=1e-15, abs=1e-15)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 300, 32768])
+def test_derivative_matches_polyder_to_the_bit(rng, degree):
+    f = random_series(rng, degree)
+    got = derivative(f).coeffs
+    want = npoly.polyder(f.coeffs)
+    # equal values of every real and imaginary part; NaN cannot occur
+    assert np.array_equal(got.view(float), want.view(float))
 
 
 @settings(max_examples=30, deadline=None)
