@@ -15,6 +15,10 @@ integral representation
 implemented independently in :func:`cesaro_like_integral_eval` (and its
 derivative counterpart) so the two routes can be compared numerically.
 
+Horner's scheme at ``|x| <= rho`` drops the tail ``k >= K`` once
+``sum_{k>=K} |a_k| rho**k <= 2**-53 sum_k |a_k| rho**k``, below its own
+rounding bound ``gamma_2n sum_k |a_k| |x|**k`` (Higham 2002, section 5.1).
+
 Evaluation is restricted to ``|z| <= 1 - 2**-40``: the package works with
 truncated series, and closer to the boundary a truncation no longer says
 anything about the function it came from.
@@ -76,15 +80,29 @@ class PowerSeries:
 
 
 def _check_domain(z):
-    if np.max(np.abs(z)) > MAX_ABS_Z:
-        raise ValueError("evaluation point outside |z| <= 1 - 2**-40")
+    if not np.all(np.abs(z) <= MAX_ABS_Z):  # NaN fails this too
+        raise ValueError("evaluation point not finite or |z| > 1 - 2**-40")
+
+
+def _horner_terms(c, rho):
+    """Shortest prefix ``c[:K]``, ``K >= 1``, whose dropped tail is at most
+    ``2**-53 sum_k |c_k| rho**k``, summed in units of the largest term."""
+    with np.errstate(divide="ignore", under="ignore"):
+        logw = np.log(np.abs(c))
+        logw[1:] += np.arange(1, c.size) * np.log(rho)
+        if not logw.max() > -np.inf:
+            return c[:1]
+        tail = np.cumsum(np.exp(logw - logw.max())[::-1])[::-1]
+    return c[:1 + np.count_nonzero(tail[1:] > 2.0 ** -53 * tail[0])]
 
 
 def evaluate(f: PowerSeries, z):
-    """Value of the series at ``z`` (scalar or array), Horner scheme."""
+    """Value at ``z`` (scalar or array), Horner's scheme without the tail
+    below ``2**-53 sum_k |a_k| max|z|**k`` (module docstring)."""
     zarr = np.asarray(z, dtype=complex)
     _check_domain(zarr)
-    vals = npoly.polyval(zarr, f.coeffs)
+    rho = np.max(np.abs(zarr), initial=0.0)
+    vals = npoly.polyval(zarr, _horner_terms(f.coeffs, rho))
     return complex(vals) if np.isscalar(z) or zarr.ndim == 0 else vals
 
 
@@ -128,20 +146,21 @@ def _integral_eval_point(m, z, kernel):
     """Shared engine for the integral representations: ``kernel`` (a
     vectorized function of t) integrated against ``m`` to absolute
     tolerance 1e-12, each component to an equal share."""
-    if abs(z) > _INTEGRAL_EVAL_MAX_ABS_Z:
+    if not abs(z) <= _INTEGRAL_EVAL_MAX_ABS_Z:  # NaN fails this too
         raise ValueError(
-            "integral evaluation supports |z| <= %.2f; use the coefficient "
-            "route closer to the boundary" % _INTEGRAL_EVAL_MAX_ABS_Z)
+            "integral evaluation supports finite |z| <= %.2f; use the "
+            "coefficient route nearer the boundary" % _INTEGRAL_EVAL_MAX_ABS_Z)
     share = 1e-12 / len(m.components)
     return complex(sum(comp.integrate(kernel, share) for comp in m.components))
 
 
 def cesaro_like_integral_eval(m: RadialMeasure, f: PowerSeries, z) -> complex:
     """Integral route for ``(C f)(z)``: integral of ``f(tz)/(1-tz) dm(t)``."""
+    c = _horner_terms(f.coeffs, abs(z))
 
     def kernel(t):
         tz = t * z
-        return npoly.polyval(tz, f.coeffs) / (1.0 - tz)
+        return npoly.polyval(tz, c) / (1.0 - tz)
 
     return _integral_eval_point(m, complex(z), kernel)
 
@@ -153,13 +172,14 @@ def cesaro_like_derivative_eval(m: RadialMeasure, f: PowerSeries,
     Differentiating under the integral sign gives the two-term kernel
     ``t f'(tz)/(1-tz) + t f(tz)/(1-tz)**2``.
     """
-    df = derivative(f)
+    c = _horner_terms(f.coeffs, abs(z))
+    dc = _horner_terms(derivative(f).coeffs, abs(z))
 
     def kernel(t):
         tz = t * z
         frac = 1.0 / (1.0 - tz)
-        return t * (npoly.polyval(tz, df.coeffs) * frac
-                    + npoly.polyval(tz, f.coeffs) * frac * frac)
+        return t * (npoly.polyval(tz, dc) * frac
+                    + npoly.polyval(tz, c) * frac * frac)
 
     return _integral_eval_point(m, complex(z), kernel)
 

@@ -7,6 +7,7 @@ the production implementation would show up as a mismatch.
 
 import math
 
+import mpmath
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from cesarops.measure import moments
 from cesarops.series import (
+    MAX_ABS_Z,
     FunctionSpecError,
     PowerSeries,
     cesaro_like,
@@ -26,7 +28,7 @@ from cesarops.series import (
     log_series,
     partial_sums,
 )
-from cesarops.series import _BUILTINS
+from cesarops.series import _BUILTINS, _horner_terms
 from cesarops.series import test_function as make_test_function
 
 from conftest import random_series
@@ -160,6 +162,87 @@ def test_integral_eval_rejects_large_radius(catalog, rng):
         cesaro_like_integral_eval(catalog["lebesgue"], f, 0.97)
 
 
+def test_non_finite_points_are_refused(catalog):
+    # NaN passed the old radius tests: evaluate returned nan+nanj, and the
+    # integral route raised QuadratureError only after a full quadrature
+    f = log_series(4)
+    for z in (math.nan, [0.5, math.nan], complex(math.inf, 0.0)):
+        with pytest.raises(ValueError, match="not finite"):
+            evaluate(f, z)
+    for route in (cesaro_like_integral_eval, cesaro_like_derivative_eval):
+        for z in (math.nan, complex(0.5, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                route(catalog["lebesgue"], f, z)
+
+
+def test_horner_cut_survives_huge_coefficients():
+    # summed without scaling, the tail of 1e308 * 0.9**k overflows to inf
+    # and the cut keeps one term
+    c = (-1.0) ** np.arange(4097) * 1e308 + 0j
+    cut = _horner_terms(c, 0.9)
+    assert 300 <= cut.size < 4097
+    f = PowerSeries(c)
+    for x in (0.45, 0.9):
+        # two Horner rounding bounds plus the tail, with sum |c_k| x**k
+        # = 1e308 / (1 - x) factored so that it does not overflow
+        bound = (4 * 4096 + 1) * 2.0 ** -53 * 1e308 / (1.0 - x)
+        assert abs(evaluate(f, x) - npoly.polyval(x, c)) <= bound
+
+
+def test_horner_cut_edge_cases():
+    assert _horner_terms(np.zeros(5, dtype=complex), 0.5).size == 1
+    assert evaluate(PowerSeries(np.zeros(5)), [0.5, -0.9j]).tolist() == [0, 0]
+    f = log_series(4096)
+    assert _horner_terms(f.coeffs, 0.0).size == 1
+    assert evaluate(f, 0.0) == 0.0
+    assert _horner_terms(np.array([2.5 + 0j]), 0.9).size == 1
+    assert evaluate(PowerSeries([2.5]), 0.9) == 2.5
+    one = np.zeros(4097, dtype=complex)
+    one[0] = 1.0
+    for rho in (0.0, 0.5, 0.95, MAX_ABS_Z):
+        assert _horner_terms(one, rho).size == 1
+    assert evaluate(PowerSeries(one), 0.9j) == 1.0
+
+
+@st.composite
+def _spread_series(draw):
+    """Degree <= 600, magnitudes over 1e-150..1e150 sorted to grow or to
+    decay, real or complex, some coefficients zero; a radius rho in
+    [0, 0.95] and eight nodes |x| <= rho, two of them at +-rho."""
+    n = draw(st.integers(0, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    exps = np.sort(rng.uniform(-150.0, 150.0, n + 1))
+    if draw(st.booleans()):
+        exps = exps[::-1]
+    c = rng.choice([-1.0, 1.0], n + 1) * 10.0 ** exps + 0j
+    if draw(st.booleans()):
+        c *= np.exp(2j * np.pi * rng.random(n + 1))
+    c[rng.random(n + 1) < draw(st.floats(0.0, 0.5))] = 0.0
+    rho = draw(st.floats(0.0, 0.95))
+    x = rho * rng.random(8) * np.exp(2j * np.pi * rng.random(8))
+    x[:2] = rho, -rho
+    return c, rho, x
+
+
+@settings(max_examples=40, deadline=None)
+@given(_spread_series())
+def test_horner_cut_meets_its_bound(case):
+    c, rho, x = case
+    cut = _horner_terms(c, rho)
+    assert 1 <= cut.size <= c.size and np.array_equal(cut, c[:cut.size])
+    with mpmath.workdps(30):
+        w = [mpmath.mpf(abs(a)) * mpmath.mpf(rho) ** k
+             for k, a in enumerate(c)]
+        total, tail = mpmath.fsum(w), mpmath.fsum(w[cut.size:])
+        # 1e-9 of slack for the rounding of the helper's own sum
+        assert tail <= 2.0 ** -53 * total * (1.0 + 1e-9)
+        total = float(total)
+    # two Horner rounding bounds gamma_2n sum |c_k| rho**k, plus the tail
+    bound = (4 * (c.size - 1) + 1) * 2.0 ** -53 * total
+    assert np.all(np.abs(npoly.polyval(x, cut) - npoly.polyval(x, c))
+                  <= bound)
+
+
 def test_cesaro_like_requires_enough_moments(catalog, rng):
     f = random_series(rng, 8)
     mu = moments(catalog["lebesgue"], 4)
@@ -216,6 +299,9 @@ def test_evaluate_accepts_eval_points_and_arrays(rng):
     vals = evaluate(f, zs)
     assert vals.shape == (3,)
     assert vals[0] == f.coeffs[0]
+    # an empty array evaluates to an empty array, as in polyval
+    empty = evaluate(f, np.array([]))
+    assert empty.shape == (0,) and empty.dtype == complex
 
 
 def test_derivative_basics(rng):
