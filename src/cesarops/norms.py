@@ -12,12 +12,12 @@ Three families are implemented, all built from values of the derivative:
 the Parseval sum ``(sum |b_n|**2 r**(2n))**(1/2)`` when ``p = 2``.
 Otherwise it is the trapezoid rule on ``m`` FFT samples of the circle,
 accepted when the rules on every second and every fourth sample agree,
-and adaptive quadrature in the angle where they do not (a kink of
-``|g|**p`` where ``g`` vanishes on or near the circle); see
-:func:`integral_mean`.  The samples (:func:`circle_values`, also behind
-the Bloch ladder) keep only the terms whose ``r**n`` is a normal float
-and, for real coefficients, come from the real FFT and the mirror
-``g(conj z) = conj g(z)``.
+and adaptive quadrature in the angle at the radii where they do not (a
+kink of ``|g|**p`` where ``g`` vanishes on or near the circle); see
+:func:`integral_mean`, which samples many radii at once.  The samples
+(:func:`circle_values`, also behind the Bloch ladder) keep only the terms
+whose ``r**n`` is a normal float and, for real coefficients, come from the
+real FFT and the mirror ``g(conj z) = conj g(z)``.
 
 The two sup-type norms are estimated on nested dyadic ladders: level ``l``
 uses radii ``r = 1 - 2**(-j / 2**l)`` for ``j = 0 .. 12 * 2**l`` and, for
@@ -59,6 +59,8 @@ _TWO_PI = 2.0 * math.pi
 _LOG_TINY = math.log(sys.float_info.min)
 #: coefficients per Parseval block: 0.4 MB of powers at 193 radii
 _PARSEVAL_BLOCK = 256
+#: circle samples per row block of the p != 2 means: 0.5 MB of values
+_SAMPLE_BLOCK = 2 ** 15
 #: levels of the nested dyadic ladder behind both sup-type norms
 _LEVELS = 5
 
@@ -100,21 +102,34 @@ def circle_values(f: PowerSeries, r: float, m: int) -> np.ndarray:
         raise ValueError("circle radius must lie in [0, 1]")
     if m < 1:
         raise ValueError("need at least one sample angle")
-    coeffs = f.coeffs
-    if r < 1.0:
-        keep = 1 if r == 0.0 else int(_LOG_TINY / math.log(r)) + 1
-        coeffs = coeffs[:keep]
+    return _circle_samples(f.coeffs, np.array([r], dtype=float), m)[0]
+
+
+def _circle_samples(coeffs, radii, m):
+    """:func:`circle_values` at every radius, one row each; rows that lose
+    terms to the cut (with a margin for rounding) are taken one by one."""
+    if radii.size == 1 and radii[0] < 1.0:
+        r = float(radii[0])
+        coeffs = coeffs[:1 if r == 0.0 else int(_LOG_TINY / math.log(r)) + 1]
+    elif radii.size > 1 < coeffs.size:
+        short = radii < 1.000001 * math.exp(_LOG_TINY / (coeffs.size - 1))
+        if short.any():
+            rows = np.empty((radii.size, m), dtype=complex)
+            rows[~short] = _circle_samples(coeffs, radii[~short], m)
+            for i in np.flatnonzero(short):
+                rows[i] = _circle_samples(coeffs, radii[i:i + 1], m)[0]
+            return rows
     real = not coeffs.imag.any()
     if real:
         coeffs = coeffs.real
-    scaled = coeffs * r ** np.arange(coeffs.size)
-    if scaled.size > m:
-        scaled = np.pad(scaled, (0, -scaled.size % m))
-        scaled = scaled.reshape(-1, m).sum(axis=0)
+    scaled = coeffs * radii[:, None] ** np.arange(coeffs.size)
+    if coeffs.size > m:
+        scaled = np.pad(scaled, ((0, 0), (0, -coeffs.size % m)))
+        scaled = scaled.reshape(len(radii), scaled.shape[1] // m, m).sum(1)
     if not real:
         return np.fft.ifft(scaled, m, norm="forward")
     half = np.fft.rfft(scaled, m)
-    return np.concatenate([half.conj(), half[(m - 1) // 2:0:-1]])
+    return np.concatenate([half.conj(), half[:, (m - 1) // 2:0:-1]], axis=1)
 
 
 def _mean_squares(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -130,12 +145,12 @@ def _mean_squares(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
         return np.sum(starts * (powers @ blocks.T), axis=1)
 
 
-def integral_mean(f: PowerSeries, r: float, p: float, *,
-                  use_derivative: bool = False) -> float:
+def integral_mean(f: PowerSeries, r: float | np.ndarray, p: float, *,
+                  use_derivative: bool = False) -> float | np.ndarray:
     """p-th integral mean ``M_p(r, f)`` over the circle of radius ``r``.
 
-    With ``use_derivative`` the mean is taken of ``f'`` instead, the form
-    every norm in this module consumes.
+    ``r`` may also be a 1-D array of radii.  With ``use_derivative`` the
+    mean is taken of ``f'`` instead, the form every norm here consumes.
 
     For ``p = 2`` Parseval's identity gives the mean from the
     coefficients alone, ``M_2(r, f)**2 = sum |a_n|**2 r**(2n)``.  For
@@ -146,42 +161,54 @@ def integral_mean(f: PowerSeries, r: float, p: float, *,
     smooth the error decays geometrically in the number of angles, so the
     ``m/2``-point error bounds the ``m``-point one; ``m`` is at least four
     times the length of ``f``, so even the ``m/4``-point rule is exact for
-    ``|f|**2``.  At a kink, where ``f`` vanishes
-    on the circle, the error is ``C h**(p+1) phi(s)``, with ``h`` the
-    angle step and ``phi`` oscillating in the kink's offset ``s`` within a
-    step: at some offsets two consecutive rules agree while both are
-    wrong, but generically not three.  When the three means agree within
-    ``1e-11 * max|f|**p`` the ``m``-point mean is returned.  Otherwise --
-    ``f`` vanishes on or near the circle -- the angle integral runs
-    through the adaptive panel scheme, which refines locally around the
+    ``|f|**2``.  At a kink, where ``f`` vanishes on the circle, the error
+    is ``C h**(p+1) phi(s)``, with ``h`` the angle step and ``phi``
+    oscillating in the kink's offset ``s`` within a step: at some offsets
+    two consecutive rules agree while both are wrong, but generically not
+    three.  When the three means agree within ``1e-11 * max|f|**p`` the
+    ``m``-point mean is returned.  The radii are sampled and tested in
+    blocks of rows, ``_SAMPLE_BLOCK`` samples at most.  A radius that
+    fails -- ``f`` vanishes on or near its circle -- alone runs through the
+    adaptive panel scheme in the angle, which refines locally around the
     kinks, to the same tolerance.
     """
     if not 0.0 < p < math.inf:
         raise ValueError("integral mean requires 0 < p < inf")
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("circle radius must lie in [0, 1]")
+    radii = np.asarray(r, dtype=float)
+    if radii.ndim > 1 or not np.all((0.0 <= radii) & (radii <= 1.0)):
+        raise ValueError("radii must be a number or a 1-D array in [0, 1]")
     if use_derivative:
         f = derivative(f)
+    rows, coeffs = np.atleast_1d(radii), f.coeffs
     if p == 2.0:
-        return float(np.sqrt(_mean_squares(f.coeffs, np.array([r]))[0]))
-    m = _next_pow2(max(512, 4 * f.coeffs.size))
-    moduli = np.abs(circle_values(f, r, m))
-    peak = float(moduli.max())
-    if peak == 0.0:
-        return 0.0
-    powers = moduli ** p
-    means = [float(np.mean(powers[::k])) for k in (1, 2, 4)]
-    if max(means) - min(means) <= 1e-11 * peak ** p:
-        return means[0] ** (1.0 / p)
-    coeffs = f.coeffs
+        means = np.sqrt(_mean_squares(coeffs, rows))
+        return float(means[0]) if radii.ndim == 0 else means
+    m = _next_pow2(max(512, 4 * coeffs.size))
+    size = max(1, _SAMPLE_BLOCK // m)
+    means = np.empty(rows.size)
+    for start in range(0, rows.size, size):
+        block = rows[start:start + size]
+        powers = np.abs(_circle_samples(coeffs, block, m)) ** p
+        peaks = powers.max(axis=1)
+        rules = np.array([powers[:, ::k].mean(axis=1) for k in (1, 2, 4)])
+        means[start:start + size] = rules[0]
+        settled = rules.max(axis=0) - rules.min(axis=0) <= 1e-11 * peaks
+        for i in np.flatnonzero(~settled):
+            means[start + i] = _angular_mean(coeffs, block[i], p, peaks[i])
+    # Python's ``**``: numpy's SIMD power can differ from it by an ulp
+    means = [mean ** (1.0 / p) for mean in means.tolist()]
+    return means[0] if radii.ndim == 0 else np.array(means)
 
+
+def _angular_mean(coeffs, r, p, peak):
+    """Mean of |f|**p on |z| = r, adaptive in angle, to 1e-11 * max |f|**p."""
     def integrand(theta):
         vals = npoly.polyval(r * np.exp(1j * theta), coeffs)
         return np.abs(vals) ** p
 
-    tol = max(peak ** p, 1e-300) * 1e-11 * _TWO_PI
+    tol = max(peak, 1e-300) * 1e-11 * _TWO_PI
     total = integrate_adaptive(integrand, 0.0, _TWO_PI, abs_tol=tol).value.real
-    return (max(total, 0.0) / _TWO_PI) ** (1.0 / p)
+    return max(total, 0.0) / _TWO_PI
 
 
 def _dyadic_radii(level: int):
@@ -234,8 +261,8 @@ def bloch_norm(f: PowerSeries) -> NormEstimate:
 
 def mean_lipschitz_norm(f: PowerSeries, p: float,
                         alpha: float) -> NormEstimate:
-    """Mean Lipschitz norm ``|f(0)| + sup_r (1-r)**(1-alpha) M_p(r, f')``;
-    at ``p = 2`` the means of all radii come from one Parseval sum."""
+    """Mean Lipschitz norm ``|f(0)| + sup_r (1-r)**(1-alpha) M_p(r, f')``,
+    with the means of all radii from one :func:`integral_mean` call."""
     if not 1.0 <= p < math.inf:
         raise ValueError("mean Lipschitz norm requires 1 <= p < inf")
     if not 0.0 < alpha <= 1.0:
@@ -243,9 +270,7 @@ def mean_lipschitz_norm(f: PowerSeries, p: float,
     df = derivative(f)
 
     def values(radii, _):
-        means = (np.sqrt(_mean_squares(df.coeffs, radii)) if p == 2.0 else
-                 np.array([integral_mean(df, r, p) for r in radii]))
-        return (1.0 - radii) ** (1.0 - alpha) * means
+        return (1.0 - radii) ** (1.0 - alpha) * integral_mean(df, radii, p)
 
     return _sup_ladder(f, values, [None] * _LEVELS, "dyadic radial ladder, "
                        "levels 0..%d; full integral means" % (_LEVELS - 1))
@@ -289,10 +314,10 @@ def _besov_quadrature(f: PowerSeries, p: float, rel_tol: float) -> float:
     known = {}  # the Gauss pass below is each root's coarse panel
 
     def means_pow(rs):
-        for r in rs:
-            if r not in known:
-                known[r] = integral_mean(df, r, p) ** p
-        return np.array([known[r] for r in rs])
+        new = [r for r in dict.fromkeys(rs) if r not in known]
+        if new:
+            known.update(zip(new, integral_mean(df, np.array(new), p)))
+        return np.array([known[r] ** p for r in rs])
 
     def inner(r):
         r = np.atleast_1d(r)

@@ -95,6 +95,21 @@ def test_circle_values_keep_every_normal_power(r):
         <= tiny * big
 
 
+def test_circle_sample_rows_equal_circle_values(rng):
+    # The rows of the batched samples are circle_values to the bit, when
+    # the rows fold (m = 64 < 301 terms) or pad (m = 1024), when some or
+    # all rows lose terms to the normal-power cut (r**300 is subnormal at
+    # r <= 0.09), and for no rows at all.
+    radii = np.array([0.5, 0.0, 0.9, 1e-3, 1.0, 0.05, 0.3])
+    for f in (random_series(rng, 300), PowerSeries(rng.standard_normal(301))):
+        for m in (64, 1024):
+            for rows in (radii, radii[[1, 3, 5]], radii[:0]):
+                got = norms._circle_samples(f.coeffs, rows, m)
+                assert got.shape == (rows.size, m)
+                for r, row in zip(rows, got):
+                    assert row.tobytes() == circle_values(f, r, m).tobytes()
+
+
 # ----------------------------------------------------------- integral means
 
 
@@ -174,6 +189,99 @@ def test_mean_rejects_nonpositive_exponent():
 
 def test_mean_of_zero_function_is_zero():
     assert integral_mean(PowerSeries([0.0, 0.0]), 0.5, 1.5) == 0.0
+    means = integral_mean(PowerSeries([0.0, 0.0]), np.array([0.0, 0.5]), 3.0)
+    assert means.tolist() == [0.0, 0.0]
+
+
+# The edge radii: r**300 is subnormal at 0.01 and 1e-3 (the cut falls
+# inside a degree-300 series), underflows to zero at 1e-300, and the
+# samples at r = 0 and r = 1 take no cut at all.
+_EDGE_RADII = [0.0, 1e-300, 1e-3, 0.01, 1.0]
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), degree=st.integers(0, 300),
+       real=st.booleans(), p=st.floats(1.1, 4.0).filter(lambda p: p != 2.0),
+       radii=st.lists(st.floats(0.0, 1.0) | st.sampled_from(_EDGE_RADII),
+                      min_size=1, max_size=400).map(sorted),
+       picks=st.lists(st.integers(0, 399), min_size=2, max_size=3))
+@example(seed=3, degree=300, real=False, p=1.5, radii=_EDGE_RADII,
+         picks=[2, 3, 4])
+@example(seed=3, degree=300, real=True, p=3.0, radii=_EDGE_RADII + [0.5],
+         picks=[0, 3, 5])
+def test_mean_at_many_radii_equals_the_scalar_means(seed, degree, real, p,
+                                                    radii, picks):
+    # The batch takes its samples in row blocks and cuts each row to its
+    # normal powers; every row must still be the scalar call, to the bit.
+    f = random_series(np.random.default_rng(seed), degree)
+    if real:
+        f = PowerSeries(f.coeffs.real)
+    got = integral_mean(f, np.array(radii), p)
+    assert got.dtype == float and got.shape == (len(radii),)
+    assert got.tolist() == [integral_mean(f, r, p) for r in radii]
+    for i in sorted({k % len(radii) for k in picks}):
+        assert got[i] == pytest.approx(brute_mean(f, radii[i], p), rel=1e-9)
+
+
+def test_mean_at_radii_of_several_row_blocks(rng):
+    # m = 1024 samples for a degree-200 series: 32 rows a block, so the
+    # 193 ladder radii take seven blocks, the last one short.  The
+    # coefficients shrink like 0.8**n and the constant term is twice the
+    # sum of the others' moduli, so |f| >= |f(0)| / 2 on the closed disc
+    # and |f|**p is smooth enough that no row falls back.
+    radii = _dyadic_radii(4)
+    decay = 0.8 ** np.arange(201)
+    for coeffs in (random_series(rng, 200).coeffs, rng.standard_normal(201)):
+        coeffs *= decay
+        coeffs[0] = 2.0 * np.sum(np.abs(coeffs[1:]))
+        f = PowerSeries(coeffs)
+        assert _next_pow2(4 * f.coeffs.size) == 1024
+        assert radii.size * 1024 > 6 * norms._SAMPLE_BLOCK
+        for p in (1.5, 3.0):
+            with mock.patch.object(norms, "integrate_adaptive") as spy:
+                got = integral_mean(f, radii, p)
+                want = [integral_mean(f, r, p) for r in radii]
+            assert not spy.called
+            assert got.tolist() == want
+
+
+def test_one_kinked_radius_falls_back_alone_inside_a_batch(rng):
+    # Shifted to vanish at z = 0.9, the series has |f|**1.5 kinked on the
+    # circle of radius 0.9; the three trapezoid rules disagree there and
+    # that row alone goes to the adaptive angular rule.  The next zero
+    # lies at |z| = 0.767, far enough from the other circles.
+    coeffs = random_series(rng, 20).coeffs
+    coeffs[0] -= npoly.polyval(0.9, coeffs)
+    f = PowerSeries(coeffs)
+    radii = np.array([0.2, 0.5, 0.9, 0.4, 0.1])
+    with mock.patch.object(norms, "integrate_adaptive",
+                           wraps=norms.integrate_adaptive) as spy:
+        got = integral_mean(f, radii, 1.5)
+    assert spy.call_count == 1
+    for r, mean in zip(radii, got):
+        assert mean == pytest.approx(brute_mean(f, r, 1.5, m=1 << 18),
+                                     rel=1e-9)
+        if r != 0.9:
+            assert mean == integral_mean(f, r, 1.5)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_mean_radius_shapes_and_ranges(p):
+    # A scalar and a 0-d array give a float, an empty array an empty float
+    # array; a radius outside [0, 1] (NaN too) anywhere in the array, or
+    # an array of more than one dimension, is refused.
+    f = PowerSeries([1.0, 2.0, -0.5])
+    scalar = integral_mean(f, 0.5, p)
+    assert type(scalar) is float
+    assert integral_mean(f, np.array(0.5), p) == scalar
+    assert type(integral_mean(f, np.array(0.5), p)) is float
+    empty = integral_mean(f, np.array([]), p)
+    assert empty.dtype == float and empty.shape == (0,)
+    assert integral_mean(f, [0.5], p).tolist() == [scalar]
+    for bad in ([0.5, math.nan], [0.5, 1.5], [-0.1, 0.5], [[0.5]],
+                np.full((2, 2), 0.5), math.nan, 1.5, -1e-300):
+        with pytest.raises(ValueError):
+            integral_mean(f, bad, p)
 
 
 # ------------------------------------------------------------- sup ladders
