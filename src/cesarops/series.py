@@ -17,7 +17,14 @@ derivative counterpart) so the two routes can be compared numerically.
 
 Horner's scheme at ``|x| <= rho`` drops the tail ``k >= K`` once
 ``sum_{k>=K} |a_k| rho**k <= 2**-53 sum_k |a_k| rho**k``, below its own
-rounding bound ``gamma_2n sum_k |a_k| |x|**k`` (Higham 2002, section 5.1).
+rounding bound ``gamma_2n sum_k |a_k| |x|**k`` (Higham 2002, section 5.1);
+:func:`evaluate` runs it over the kept terms.  The integral route keeps the
+same terms at ``rho = |z|``, but needs ``f(tz)`` only on the ray of real
+``t`` in [0, 1), where ``f(tz) = sum_k d_k t**k`` with ``d_k = a_k z**k``.
+One table of ``t**k``, built by repeated multiplication so that
+``fl(t**k)`` is within ``(k-1) u`` of ``t**k``, and one sum over ``k``
+against the columns ``d`` give all the nodes of a quadrature level at once,
+with an error of the order of that same bound.
 
 Evaluation is restricted to ``|z| <= 1 - 2**-40``: the package works with
 truncated series, and closer to the boundary a truncation no longer says
@@ -142,27 +149,75 @@ def cesaro_like(mu: MomentSequence, f: PowerSeries) -> PowerSeries:
     return PowerSeries(mu.values[: f.degree + 1] * partial_sums(f))
 
 
-def _integral_eval_point(m, z, kernel):
-    """Shared engine for the integral representations: ``kernel`` (a
-    vectorized function of t) integrated against ``m`` to absolute
-    tolerance 1e-12, each component to an equal share."""
+def _ray_point(z) -> complex:
+    """``z`` as a complex number, refused unless ``|z| <= 0.95``."""
     if not abs(z) <= _INTEGRAL_EVAL_MAX_ABS_Z:  # NaN fails this too
         raise ValueError(
             "integral evaluation supports finite |z| <= %.2f; use the "
             "coefficient route nearer the boundary" % _INTEGRAL_EVAL_MAX_ABS_Z)
+    return complex(z)
+
+
+def _ray_terms(columns, z):
+    """Real ``(2J, K)`` rows: the real and imaginary parts of ``c_k z**k``
+    for the cut ``c`` of each of the ``J`` coefficient vectors at ``|z|``,
+    padded with zeros to the longest cut ``K``."""
+    cuts = [_horner_terms(c, abs(z)) for c in columns]
+    powers = np.full(max(c.size for c in cuts), z)
+    powers[0] = 1.0
+    np.cumprod(powers, out=powers)
+    terms = np.zeros((2 * len(cuts), powers.size))
+    for j, c in enumerate(cuts):
+        d = c * powers[:c.size]
+        terms[2 * j, :c.size] = d.real
+        terms[2 * j + 1, :c.size] = d.imag
+    return terms
+
+
+_RAY_BLOCK = 2 ** 17  # most entries of one power table (1 MB)
+
+
+def _ray_values(terms, t):
+    """``sum_k d_k t**k`` at the real nodes ``t`` for each column ``d`` of
+    :func:`_ray_terms`, as a ``(t.size, J)`` complex array.
+
+    The table ``t**k`` is built by ``cumprod`` along each row, a block of
+    rows at a time.  ``einsum`` (which calls no BLAS without ``optimize``)
+    then sums each row against the contiguous rows of ``terms`` in an order
+    fixed by ``K`` alone, so that every value is elementwise in ``t`` bit
+    for bit, as the level-synchronous quadrature requires.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.empty((t.size, terms.shape[0]))
+    rows = max(1, _RAY_BLOCK // terms.shape[1])
+    for start in range(0, t.size, rows):
+        block = t[start:start + rows]
+        table = np.empty((block.size, terms.shape[1]))
+        table[:, 0] = 1.0
+        table[:, 1:] = block[:, None]
+        np.cumprod(table, axis=1, out=table)
+        np.einsum("ik,jk->ij", table, terms, out=out[start:start + rows])
+    return out.view(complex)
+
+
+def _integral_eval_point(m, kernel):
+    """Shared engine for the integral representations: ``kernel`` (a
+    vectorized function of t) integrated against ``m`` to absolute
+    tolerance 1e-12, each component to an equal share."""
     share = 1e-12 / len(m.components)
     return complex(sum(comp.integrate(kernel, share) for comp in m.components))
 
 
 def cesaro_like_integral_eval(m: RadialMeasure, f: PowerSeries, z) -> complex:
-    """Integral route for ``(C f)(z)``: integral of ``f(tz)/(1-tz) dm(t)``."""
-    c = _horner_terms(f.coeffs, abs(z))
+    """Integral route for ``(C f)(z)``: integral of ``f(tz)/(1-tz) dm(t)``,
+    with ``f(tz)`` from the power table on the ray (module docstring)."""
+    z = _ray_point(z)
+    terms = _ray_terms((f.coeffs,), z)
 
     def kernel(t):
-        tz = t * z
-        return npoly.polyval(tz, c) / (1.0 - tz)
+        return _ray_values(terms, t)[:, 0] / (1.0 - t * z)
 
-    return _integral_eval_point(m, complex(z), kernel)
+    return _integral_eval_point(m, kernel)
 
 
 def cesaro_like_derivative_eval(m: RadialMeasure, f: PowerSeries,
@@ -170,18 +225,18 @@ def cesaro_like_derivative_eval(m: RadialMeasure, f: PowerSeries,
     """Integral route for ``(C f)'(z)``.
 
     Differentiating under the integral sign gives the two-term kernel
-    ``t f'(tz)/(1-tz) + t f(tz)/(1-tz)**2``.
+    ``t f'(tz)/(1-tz) + t f(tz)/(1-tz)**2``; ``f'(tz)`` and ``f(tz)`` are
+    two columns against one power table on the ray.
     """
-    c = _horner_terms(f.coeffs, abs(z))
-    dc = _horner_terms(derivative(f).coeffs, abs(z))
+    z = _ray_point(z)
+    terms = _ray_terms((derivative(f).coeffs, f.coeffs), z)
 
     def kernel(t):
-        tz = t * z
-        frac = 1.0 / (1.0 - tz)
-        return t * (npoly.polyval(tz, dc) * frac
-                    + npoly.polyval(tz, c) * frac * frac)
+        frac = 1.0 / (1.0 - t * z)
+        df, f_ = _ray_values(terms, t).T
+        return t * (df * frac + f_ * frac * frac)
 
-    return _integral_eval_point(m, complex(z), kernel)
+    return _integral_eval_point(m, kernel)
 
 
 def log_series(degree: int) -> PowerSeries:

@@ -275,8 +275,8 @@ def test_integrands_are_elementwise_across_array_lengths(monkeypatch):
     lebesgue = load_builtin_measure("lebesgue")
     hat_table = load_builtin_measure("hat_table")
     for route in (cesaro_like_integral_eval, cesaro_like_derivative_eval):
-        # the power-log integrand: the polyval kernel of the integral route
-        # at t = -expm1(-u), times the weight
+        # the power-log integrand: the ray-table kernel of the integral
+        # route at t = -expm1(-u), times the weight
         kernels = _captured_integrands(
             monkeypatch, measure, lambda: route(lebesgue, f, z))
         assert len(kernels) == 1

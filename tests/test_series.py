@@ -6,6 +6,8 @@ the production implementation would show up as a mismatch.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -28,7 +30,8 @@ from cesarops.series import (
     log_series,
     partial_sums,
 )
-from cesarops.series import _BUILTINS, _horner_terms
+from cesarops.series import (_BUILTINS, _RAY_BLOCK, _horner_terms,
+                             _ray_terms, _ray_values)
 from cesarops.series import test_function as make_test_function
 
 from conftest import random_series
@@ -175,6 +178,19 @@ def test_non_finite_points_are_refused(catalog):
                 route(catalog["lebesgue"], f, z)
 
 
+def test_infinite_points_are_refused_before_any_arithmetic(catalog):
+    # the cut used to run before the radius check, so an infinite z first
+    # gave a RuntimeWarning, which -W error raises in place of the refusal
+    f = log_series(64)
+    for route in (cesaro_like_integral_eval, cesaro_like_derivative_eval):
+        for z in (math.inf, -math.inf, complex(math.inf, 0.0),
+                  complex(0.0, math.inf)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="finite"):
+                    route(catalog["lebesgue"], f, z)
+
+
 def test_horner_cut_survives_huge_coefficients():
     # summed without scaling, the tail of 1e308 * 0.9**k overflows to inf
     # and the cut keeps one term
@@ -241,6 +257,142 @@ def test_horner_cut_meets_its_bound(case):
     bound = (4 * (c.size - 1) + 1) * 2.0 ** -53 * total
     assert np.all(np.abs(npoly.polyval(x, cut) - npoly.polyval(x, c))
                   <= bound)
+
+
+@st.composite
+def _ray_case(draw):
+    """Degree <= 300, magnitudes over 1e-20..1e20, real or complex, some
+    coefficients zero; a point z = 0 or 2**-20 <= |z| <= 0.95, so that
+    ``t z`` does not underflow, against which Horner's bound does not hold;
+    and real nodes t in [0, 1), one, sixteen, or two more than one row
+    block of the power table."""
+    n = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = rng.choice([-1.0, 1.0], n + 1) * 10.0 ** rng.uniform(-20, 20, n + 1)
+    c = c + 0j
+    if draw(st.booleans()):
+        c *= np.exp(2j * np.pi * rng.random(n + 1))
+    c[rng.random(n + 1) < draw(st.floats(0.0, 0.5))] = 0.0
+    z = (draw(st.one_of(st.just(0.0), st.floats(2.0 ** -20, 0.95)))
+         * np.exp(2j * np.pi * rng.random()))
+    rows = _RAY_BLOCK // _horner_terms(c, abs(z)).size
+    t = rng.random(draw(st.sampled_from([1, 16, rows + 2])))
+    t[0] = draw(st.sampled_from([t[0], 0.0]))
+    return c, complex(z), t, rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(_ray_case())
+def test_ray_values_meet_horner_within_their_bounds(case):
+    c, z, t, rows = case
+    got = _ray_values(_ray_terms((c,), z), t)[:, 0]
+    assert got.shape == t.shape
+    # Horner on the whole series is the oracle, checked at every node of a
+    # short array and on both sides of the block boundary of a long one
+    at = np.arange(t.size) if t.size <= 16 else np.r_[0:8, rows - 8:rows + 2]
+    x = abs(z) * t[at]
+    want = npoly.polyval(t[at] * z, c)
+    size = _horner_terms(c, abs(z)).size
+    total = npoly.polyval(x, np.abs(c))
+    tail = x ** size * npoly.polyval(x, np.append(np.abs(c[size:]), 0.0))
+    # first-order rounding bounds in complex arithmetic, where a product
+    # is within sqrt(2) gamma_2 (Higham 2002, section 3.6): for degree n,
+    # below 5 n u sum_k |c_k| |tz|**k for Horner's scheme and 6 n u for
+    # the table, the powers of z and the sum; plus the dropped tail
+    m = 11 * (c.size - 1)
+    bound = m * 2.0 ** -53 / (1.0 - m * 2.0 ** -53) * total + tail
+    assert np.all(np.abs(got[at] - want) <= bound * (1.0 + 1e-9))
+
+
+class _KernelTap:
+    """A one-component stand-in for a measure: keeps the kernel that an
+    integral route hands to its component, and integrates it to 0."""
+
+    def __init__(self):
+        self.components = (self,)
+        self.kernels = []
+
+    def integrate(self, g, abs_tol):
+        self.kernels.append(g)
+        return 0.0
+
+
+def _route_kernel(route, f, z):
+    tap = _KernelTap()
+    route(tap, f, z)
+    (kernel,) = tap.kernels
+    return kernel
+
+
+def test_derivative_kernel_is_elementwise_across_row_blocks():
+    f = log_series(4096)
+    z = 0.9 * np.exp(0.7j)
+    kernel = _route_kernel(cesaro_like_derivative_eval, f, z)
+    size = _ray_terms((derivative(f).coeffs, f.coeffs), z).shape[1]
+    rows = _RAY_BLOCK // size
+    assert 100 < size and rows > 100
+    # three row blocks; the quadrature needs the same bits for a node
+    # whatever array it comes in
+    t = np.sort(np.random.default_rng(7).uniform(0.0, 0.99, 2 * rows + 5))
+    whole = kernel(t)
+    for i in range(t.size):
+        assert kernel(t[i:i + 1]).tobytes() == whole[i:i + 1].tobytes()
+    for start in (rows - 8, 2 * rows - 8):
+        part = kernel(t[start:start + 16])
+        assert part.tobytes() == whole[start:start + 16].tobytes()
+
+
+def test_power_table_is_built_in_row_blocks():
+    # the cut at |z| = 0.95 keeps every term of 1.05**k: one table for all
+    # 65,536 nodes of a full quadrature level would take 2 GB
+    f = PowerSeries(1.05 ** np.arange(4097))
+    z = 0.95j
+    assert _ray_terms((f.coeffs,), z).shape[1] == 4097
+    kernel = _route_kernel(cesaro_like_derivative_eval, f, z)
+    t = -np.expm1(-np.linspace(0.0, 32.0, 65536))
+    tracemalloc.start()
+    try:
+        values = kernel(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == t.shape and np.all(np.isfinite(values))
+    assert peak < 8 * 2 ** 20
+
+
+def _mp_coefficient_route(mu, f, z):
+    """``(C f)(z)`` and ``(C f)'(z)`` as ``sum_n mu(n) s_n z**n`` summed in
+    mpmath from the moment formula ``mu``: apart from ``moments``,
+    ``cesaro_like``, ``evaluate`` and the cut."""
+    with mpmath.workdps(30):
+        s = mpmath.mpc(0)
+        image = []
+        for n, a in enumerate(f.coeffs):
+            s += mpmath.mpc(a.real, a.imag)
+            image.append(mu(n) * s)
+        value, slope = mpmath.polyval(image[::-1], mpmath.mpc(z),
+                                      derivative=True)
+        return complex(value), complex(slope)
+
+
+def test_integral_route_meets_an_mpmath_coefficient_route():
+    from cesarops.measure import PointMass, PowerLogDensity, RadialMeasure
+    measures = [
+        # Lebesgue measure: mu_n = 1/(n+1)
+        (RadialMeasure((PowerLogDensity(1.0, 1.0),)),
+         lambda n: 1 / mpmath.mpf(n + 1)),
+        (RadialMeasure((PointMass(0.7, 0.8),)),
+         lambda n: mpmath.mpf(0.7) * mpmath.mpf(0.8) ** n),
+    ]
+    functions = [log_series(4096), make_test_function(0.9, 2.0, 4096)]
+    for m, mu in measures:
+        for f in functions:
+            for z in (0.9, -0.5 + 0.7j, 0.3j):
+                value, slope = _mp_coefficient_route(mu, f, z)
+                for got, want in ((cesaro_like_integral_eval(m, f, z), value),
+                                  (cesaro_like_derivative_eval(m, f, z),
+                                   slope)):
+                    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_cesaro_like_requires_enough_moments(catalog, rng):
