@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from cesarops.measure import MomentSequence, RadialMeasure, tail
+from cesarops.measure import MomentSequence, RadialMeasure, moments, tail
 from cesarops.quadrature import QuadratureError
 
 __all__ = [
@@ -372,11 +372,9 @@ def classify_measure(m: RadialMeasure, params: CarlesonParams, *,
     ``params.r_exp`` are not read.  The moment ladder runs to ``n_max``;
     a precomputed ``mu`` is cut there, and a shorter one raises.
     """
-    from cesarops.measure import moments as compute_moments
-
     tail_res = classify_tail(m, params, dyadic_t_ladder(tail_depth))
     if mu is None:
-        mu = compute_moments(m, n_max)
+        mu = moments(m, n_max)
     if mu.n_max < n_max:
         raise ValueError("classify_measure needs moments up to n_max = %d, "
                          "got mu up to %d" % (n_max, mu.n_max))

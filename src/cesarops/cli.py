@@ -12,8 +12,8 @@ Five subcommands expose the library over file-based inputs:
 Measures and functions are given as JSON file paths or builtin names
 (see :mod:`cesarops.catalog`).  Exit codes: 0 for success (inconclusive
 classifications included), 2 for input errors, 3 for numerical
-failures.  All floats are printed with 17 significant digits and writes
-are atomic, so identical inputs reproduce identical bytes.
+failures.  Floats are printed in Python's shortest round-trip form and
+writes are atomic, so identical inputs reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -54,41 +54,16 @@ from cesarops.verify import (
 _INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError, MemoryError)
 
 
-def _fmt(x: float) -> str:
+def _fmt(x) -> str:
     if isinstance(x, float):
-        if math.isnan(x):
-            return "NaN"
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return format(x, ".17g")
+        # json.dumps only for NaN and the infinities: it is slow per cell
+        return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
     return str(x)
 
 
-def _dump_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = ",\n".join("%s%s: %s" % (inner, json.dumps(str(k)),
-                                        _dump_json(v, indent + 1))
-                          for k, v in obj.items())
-        return "{\n%s\n%s}" % (rows, pad)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = ",\n".join("%s%s" % (inner, _dump_json(v, indent + 1))
-                          for v in obj)
-        return "[\n%s\n%s]" % (rows, pad)
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj))
-    return json.dumps(str(obj))
+def _dump_json(obj) -> str:
+    # numpy floats subclass float; numpy ints and bools go through .item()
+    return json.dumps(obj, indent=2, default=lambda o: o.item()) + "\n"
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -152,7 +127,7 @@ def _cmd_classify(args) -> str:
         for crit in verdict.criteria:
             walk(crit)
         return _csv(rows, ("criterion", "index", "grid", "value"))
-    return _dump_json(_verdict_to_dict(verdict)) + "\n"
+    return _dump_json(_verdict_to_dict(verdict))
 
 
 def _cmd_apply(args) -> str:
@@ -177,7 +152,7 @@ def _cmd_norm(args) -> str:
         payload["alpha"] = args.alpha
     if kind == "growth":
         payload["value"] = growth_ratio(f, args.p)
-        return _dump_json(payload) + "\n"
+        return _dump_json(payload)
     if kind == "bloch":
         est = bloch_norm(f)
     elif kind == "besov":
@@ -186,7 +161,7 @@ def _cmd_norm(args) -> str:
         est = mean_lipschitz_norm(f, args.p, args.alpha)
     payload.update(value=est.value, converged=est.converged,
                    refinements=len(est.refinements), grid=est.grid_spec)
-    return _dump_json(payload) + "\n"
+    return _dump_json(payload)
 
 
 def _cmd_verify(args) -> str:
@@ -204,14 +179,14 @@ def _cmd_verify(args) -> str:
             "n_agree": matrix.n_agree,
             "agreement_rate": matrix.agreement_rate,
         }
-        return _dump_json(payload) + "\n"
+        return _dump_json(payload)
     m = resolve_measure(args.measure)
     config = ExperimentConfig(ladder_depth=args.ladder_depth)
     if args.theorem == "boundedness":
         report = boundedness_experiment(m, args.p, args.s, config)
     else:
         report = compactness_experiment(m, args.p, args.s, config)
-    return _dump_json(report.to_dict()) + "\n"
+    return _dump_json(report.to_dict())
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -6,12 +6,16 @@ determinism of repeated runs.
 """
 
 import json
+import math
 import os
 import re
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cesarops.cli import _fmt, main
+from cesarops.cli import _dump_json, _fmt, main
 from cesarops.series import FunctionSpecError, function_from_dict
 
 
@@ -116,6 +120,29 @@ def test_non_finite_values_print_as_json_tokens(capsys, tmp_path):
     assert code == 0 and "Infinity" in values
     assert (_fmt(float("nan")), _fmt(float("inf")), _fmt(float("-inf"))) \
         == ("NaN", "Infinity", "-Infinity")
+
+
+def _bits(x):
+    return "NaN" if math.isnan(x) else struct.pack("<d", x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(), n=st.integers(-2 ** 63, 2 ** 63 - 1), b=st.booleans())
+@example(x=-0.0, n=-2 ** 63, b=False)
+@example(x=0.0, n=2 ** 63 - 1, b=True)
+@example(x=5e-324, n=0, b=True)
+@example(x=-2.2250738585072009e-308, n=-1, b=False)
+@example(x=1.7976931348623157e308, n=1, b=True)
+@example(x=-math.inf, n=0, b=False)
+@example(x=math.inf, n=0, b=True)
+@example(x=math.nan, n=0, b=False)
+def test_floats_come_back_to_the_bit_from_json_and_csv(x, n, b):
+    back = json.loads(_dump_json({"v": [x]}))["v"][0]
+    assert _bits(back) == _bits(x) and _bits(float(_fmt(x))) == _bits(x)
+    # numpy scalars are written as their Python counterparts
+    assert _dump_json([np.float64(x), np.int64(n), np.bool_(b)]) \
+        == _dump_json([x, n, b])
+    assert _fmt(np.float64(x)) == _fmt(x)
 
 
 # --------------------------------------------------------------------- norm

@@ -308,18 +308,21 @@ def test_bloch_norm_of_truncated_logarithm():
 def test_bloch_history_equals_per_level_brute_maximum(rng):
     # Degree 40 keeps the angle count at 256 for levels 0-2 and doubles
     # it at levels 3 and 4, so both the shared and the re-evaluated
-    # levels are exercised.
-    f = random_series(rng, 40)
-    df = derivative(f)
-    base_m = _next_pow2(max(256, df.coeffs.size))
+    # levels are exercised.  Complex coefficients take the complex FFT,
+    # real ones the real FFT and the mirror.
+    g = random_series(rng, 40)
+    for f in (g, PowerSeries(g.coeffs.real)):
+        df = derivative(f)
+        base_m = _next_pow2(max(256, df.coeffs.size))
 
-    def per_radius(r, level):
-        m = max(base_m, 2 ** (6 + level))
-        return (1.0 - r * r) * float(np.max(np.abs(circle_values(df, r, m))))
+        def per_radius(r, level):
+            m = max(base_m, 2 ** (6 + level))
+            return (1.0 - r * r) * float(
+                np.max(np.abs(circle_values(df, r, m))))
 
-    head = abs(complex(f.coeffs[0]))
-    want = tuple(head + h for h in brute_ladder(per_radius))
-    assert bloch_norm(f).refinements == want
+        head = abs(complex(f.coeffs[0]))
+        want = tuple(head + h for h in brute_ladder(per_radius))
+        assert bloch_norm(f).refinements == want
 
 
 def test_mean_lipschitz_p2_history_matches_per_level_brute_maximum(rng):
