@@ -10,14 +10,10 @@ Three families are implemented, all built from values of the derivative:
 
 ``M_p(r, g)`` is the p-th integral mean over the circle of radius ``r``:
 the Parseval sum ``(sum |b_n|**2 r**(2n))**(1/2)`` when ``p = 2``.
-Otherwise it is the trapezoid rule on ``m`` FFT samples of the circle,
-accepted when the rules on every second and every fourth sample agree,
-and adaptive quadrature in the angle at the radii where they do not (a
-kink of ``|g|**p`` where ``g`` vanishes on or near the circle); see
-:func:`integral_mean`, which samples many radii at once.  The samples
-(:func:`circle_values`, also behind the Bloch ladder) keep only the terms
-whose ``r**n`` is a normal float and, for real coefficients, come from the
-real FFT and the mirror ``g(conj z) = conj g(z)``.
+Otherwise it is a trapezoid rule on FFT samples of the circle, checked
+by nested rules (see :func:`integral_mean`).  The means and the Bloch
+maximum read moduli only, for real coefficients on the half circle
+``0 .. pi``: the mirror ``g(conj z) = conj g(z)`` repeats the other half.
 
 The two sup-type norms are estimated on nested dyadic ladders: level ``l``
 uses radii ``r = 1 - 2**(-j / 2**l)`` for ``j = 0 .. 12 * 2**l`` and, for
@@ -59,7 +55,7 @@ _TWO_PI = 2.0 * math.pi
 _LOG_TINY = math.log(sys.float_info.min)
 #: coefficients per Parseval block: 0.4 MB of powers at 193 radii
 _PARSEVAL_BLOCK = 256
-#: circle samples per row block of the p != 2 means: 0.5 MB of values
+#: angles per row block of the p != 2 means: at most 0.5 MB of samples
 _SAMPLE_BLOCK = 2 ** 15
 #: levels of the nested dyadic ladder behind both sup-type norms
 _LEVELS = 5
@@ -95,8 +91,9 @@ def circle_values(f: PowerSeries, r: float, m: int) -> np.ndarray:
     slow to compute and lose every term below ``2**-1074`` anyway.
     Folding the scaled coefficients modulo ``m`` before the FFT gives
     exact sample values for every ``m >= 1``.  Real coefficients take the
-    real FFT for the angles ``k <= m/2`` and the mirror ``f(conj z) =
-    conj f(z)`` for the rest; complex ones take the complex inverse FFT.
+    real FFT for ``k <= m/2`` and the mirror ``f(conj z) = conj f(z)`` for
+    the rest (the means and the Bloch maximum read the moduli at ``k <=
+    m/2`` alone); complex ones take the complex inverse FFT.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError("circle radius must lie in [0, 1]")
@@ -106,30 +103,28 @@ def circle_values(f: PowerSeries, r: float, m: int) -> np.ndarray:
 
 
 def _circle_samples(coeffs, radii, m):
-    """:func:`circle_values` at every radius, one row each; rows that lose
-    terms to the cut (with a margin for rounding) are taken one by one."""
-    if radii.size == 1 and radii[0] < 1.0:
-        r = float(radii[0])
-        coeffs = coeffs[:1 if r == 0.0 else int(_LOG_TINY / math.log(r)) + 1]
-    elif radii.size > 1 < coeffs.size:
-        short = radii < 1.000001 * math.exp(_LOG_TINY / (coeffs.size - 1))
-        if short.any():
-            rows = np.empty((radii.size, m), dtype=complex)
-            rows[~short] = _circle_samples(coeffs, radii[~short], m)
-            for i in np.flatnonzero(short):
-                rows[i] = _circle_samples(coeffs, radii[i:i + 1], m)[0]
-            return rows
+    """:func:`circle_values` at every radius, one row each."""
+    half = _half_circle(coeffs, radii, m)
+    return half if coeffs.imag.any() else np.concatenate(
+        [half.conj(), half[:, (m - 1) // 2:0:-1]], axis=1)
+
+
+def _half_circle(coeffs, radii, m):
+    """Per radius, ``conj f`` at ``k <= m/2`` by the real FFT of real
+    coefficients, else ``f`` at every ``k``; subnormal ``r**n`` are zeros."""
+    with np.errstate(divide="ignore"):
+        cuts = np.where(radii < 1.0, _LOG_TINY / np.log(radii), np.inf)
     real = not coeffs.imag.any()
-    if real:
-        coeffs = coeffs.real
-    scaled = coeffs * radii[:, None] ** np.arange(coeffs.size)
+    coeffs = coeffs.real if real else coeffs
+    coeffs = coeffs[:int(min(cuts.max(initial=0.0), coeffs.size)) + 1]
+    n = np.arange(coeffs.size)
+    scaled = coeffs * np.power(radii[:, None], n, where=n <= cuts[:, None],
+                               out=np.zeros((radii.size, n.size)))
     if coeffs.size > m:
         scaled = np.pad(scaled, ((0, 0), (0, -coeffs.size % m)))
         scaled = scaled.reshape(len(radii), scaled.shape[1] // m, m).sum(1)
-    if not real:
-        return np.fft.ifft(scaled, m, norm="forward")
-    half = np.fft.rfft(scaled, m)
-    return np.concatenate([half.conj(), half[:, (m - 1) // 2:0:-1]], axis=1)
+    return (np.fft.rfft(scaled, m) if real
+            else np.fft.ifft(scaled, m, norm="forward"))
 
 
 def _mean_squares(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -154,50 +149,59 @@ def integral_mean(f: PowerSeries, r: float | np.ndarray, p: float, *,
 
     For ``p = 2`` Parseval's identity gives the mean from the
     coefficients alone, ``M_2(r, f)**2 = sum |a_n|**2 r**(2n)``.  For
-    other ``p`` the modulus is no longer a trigonometric polynomial, so
-    the mean of ``|f|**p`` over the ``m`` sample angles of
-    :func:`circle_values` (the trapezoid rule) is checked against the
-    means over every second and every fourth angle.  When ``|f|**p`` is
-    smooth the error decays geometrically in the number of angles, so the
-    ``m/2``-point error bounds the ``m``-point one; ``m`` is at least four
-    times the length of ``f``, so even the ``m/4``-point rule is exact for
-    ``|f|**2``.  At a kink, where ``f`` vanishes on the circle, the error
-    is ``C h**(p+1) phi(s)``, with ``h`` the angle step and ``phi``
-    oscillating in the kink's offset ``s`` within a step: at some offsets
-    two consecutive rules agree while both are wrong, but generically not
-    three.  When the three means agree within ``1e-11 * max|f|**p`` the
-    ``m``-point mean is returned.  The radii are sampled and tested in
-    blocks of rows, ``_SAMPLE_BLOCK`` samples at most.  A radius that
-    fails -- ``f`` vanishes on or near its circle -- alone runs through the
-    adaptive panel scheme in the angle, which refines locally around the
-    kinks, to the same tolerance.
+    other ``p`` the mean of ``|f|**p`` over ``m`` FFT sample angles (the
+    trapezoid rule; weights 1, 2, ..., 2, 1 on the half circle of a real
+    series) is checked against the means over every second and every
+    fourth angle.  When ``|f|**p`` is smooth the error decays
+    geometrically in the number of angles, so the ``m/2``-point error
+    bounds the ``m``-point one; ``m`` is at least four times the length of
+    ``f``, so even the ``m/4``-point rule is exact for ``|f|**2``.  At a
+    kink, where ``f`` vanishes on the circle, the error is ``C h**(p+1)
+    phi(s)``, with ``h`` the angle step and ``phi`` oscillating in the
+    kink's offset ``s`` within a step: two consecutive rules can agree
+    while both are wrong, but generically not three.  When the three
+    agree within ``1e-11 * max|f|**p`` the ``m``-point mean is returned;
+    otherwise the radius alone runs through the adaptive panel scheme in
+    the angle, which refines around the kinks, to the same tolerance.
     """
     if not 0.0 < p < math.inf:
         raise ValueError("integral mean requires 0 < p < inf")
     radii = np.asarray(r, dtype=float)
     if radii.ndim > 1 or not np.all((0.0 <= radii) & (radii <= 1.0)):
         raise ValueError("radii must be a number or a 1-D array in [0, 1]")
-    if use_derivative:
-        f = derivative(f)
-    rows, coeffs = np.atleast_1d(radii), f.coeffs
+    coeffs = (derivative(f) if use_derivative else f).coeffs
+    rows = np.atleast_1d(radii)
     if p == 2.0:
         means = np.sqrt(_mean_squares(coeffs, rows))
-        return float(means[0]) if radii.ndim == 0 else means
+    else:  # Python's ``**``: numpy's SIMD power can differ by an ulp
+        means = np.array([mean ** (1.0 / p) for mean in
+                          _power_means(coeffs, rows, p).tolist()])
+    return float(means[0]) if radii.ndim == 0 else means
+
+
+def _power_means(coeffs, radii, p):
+    """:func:`integral_mean` at every radius before its ``p``-th root."""
     m = _next_pow2(max(512, 4 * coeffs.size))
     size = max(1, _SAMPLE_BLOCK // m)
-    means = np.empty(rows.size)
-    for start in range(0, rows.size, size):
-        block = rows[start:start + size]
-        powers = np.abs(_circle_samples(coeffs, block, m)) ** p
+    means = []
+    for block in np.split(radii, range(size, radii.size, size)):
+        powers = np.abs(_half_circle(coeffs, block, m)) ** p
         peaks = powers.max(axis=1)
-        rules = np.array([powers[:, ::k].mean(axis=1) for k in (1, 2, 4)])
-        means[start:start + size] = rules[0]
+        rules = _trapezoid_rules(powers, m)
         settled = rules.max(axis=0) - rules.min(axis=0) <= 1e-11 * peaks
         for i in np.flatnonzero(~settled):
-            means[start + i] = _angular_mean(coeffs, block[i], p, peaks[i])
-    # Python's ``**``: numpy's SIMD power can differ from it by an ulp
-    means = [mean ** (1.0 / p) for mean in means.tolist()]
-    return means[0] if radii.ndim == 0 else np.array(means)
+            rules[0, i] = _angular_mean(coeffs, block[i], p, peaks[i])
+        means.append(rules[0])
+    return np.concatenate(means)
+
+
+def _trapezoid_rules(powers, m):
+    """The ``m``-, ``m/2``- and ``m/4``-point trapezoid rules of each row,
+    on the half circle of a real series with weights 1, 2, ..., 2, 1."""
+    half = powers.shape[1] < m
+    ends = powers[:, 0] + powers[:, -1] if half else 0.0
+    return np.array([((1 + half) * powers[:, ::k].sum(axis=1) - ends)
+                     / (m // k) for k in (1, 2, 4)])
 
 
 def _angular_mean(coeffs, r, p, peak):
@@ -236,8 +240,7 @@ def _sup_ladder(f, values, keys, grid):
             vals = values(_dyadic_radii(level), keys[level])
         history.append(float(np.max(vals[::2 ** (finest - level)])))
     history.reverse()
-    converged = bool(len(history) >= 2
-                     and history[-1] - history[-2]
+    converged = bool(len(history) >= 2 and history[-1] - history[-2]
                      <= 1e-6 * max(1.0, history[-1]))
     head = abs(complex(f.coeffs[0]))
     return NormEstimate(head + history[-1], tuple(head + h for h in history),
@@ -249,9 +252,9 @@ def bloch_norm(f: PowerSeries) -> NormEstimate:
     df = derivative(f)
     base_m = _next_pow2(max(256, df.coeffs.size))
 
-    def values(radii, m):
-        return (1.0 - radii * radii) * np.array(
-            [np.max(np.abs(circle_values(df, r, m))) for r in radii])
+    def values(radii, m):  # one row at a time: the work is FFT-bound
+        return (1.0 - radii * radii) * np.array([np.abs(_half_circle(
+            df.coeffs, row, m)).max() for row in radii[:, None]])
 
     angles = [max(base_m, 2 ** (6 + level)) for level in range(_LEVELS)]
     return _sup_ladder(f, values, angles,
@@ -313,15 +316,13 @@ def _besov_quadrature(f: PowerSeries, p: float, rel_tol: float) -> float:
     df = derivative(f)
     known = {}  # the Gauss pass below is each root's coarse panel
 
-    def means_pow(rs):
+    def means(rs):  # of |f'|**p: the integrand takes no p-th root
         new = [r for r in dict.fromkeys(rs) if r not in known]
-        if new:
-            known.update(zip(new, integral_mean(df, np.array(new), p)))
-        return np.array([known[r] ** p for r in rs])
+        known.update(zip(new, _power_means(df.coeffs, np.array(new), p)))
+        return np.array([known[r] for r in rs])
 
     def inner(r):
-        r = np.atleast_1d(r)
-        return 2.0 * r * (1.0 - r * r) ** (p - 2.0) * means_pow(r)
+        return 2.0 * r * (1.0 - r * r) ** (p - 2.0) * means(r)
 
     # Outer part, r in [1/2, 1].  Writing x = 1 - r, the integrand is
     # x**(p-2) times the slowly varying H(x) = 2 (1-x) (2-x)**(p-2) G(1-x),
@@ -330,11 +331,10 @@ def _besov_quadrature(f: PowerSeries, p: float, rel_tol: float) -> float:
     # x**(p-2) dx = (3 / (2**(p-1) (p-1))) v**2 dv,
     # leaving a twice-differentiable integrand at v = 0 for every p > 1.
     def outer(v):
-        v = np.atleast_1d(v)
         with np.errstate(under="ignore"):
             x = 0.5 * v ** (3.0 / (p - 1.0))
         r = 1.0 - x
-        return v * v * 2.0 * r * (2.0 - x) ** (p - 2.0) * means_pow(r)
+        return v * v * 2.0 * r * (2.0 - x) ** (p - 2.0) * means(r)
 
     scale = 2.0 ** (p - 1.0) * (p - 1.0) / 3.0
     xs, ws = gauss_rule(16)

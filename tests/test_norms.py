@@ -41,6 +41,17 @@ def brute_mean(f, r, p, m=1 << 16):
     return float(np.mean(vals ** p)) ** (1.0 / p)
 
 
+def fft_mean(f, r, p, m=1 << 20):
+    """Trapezoid p-mean on the m exact FFT samples of the whole circle:
+    the coefficients scaled by r**n and zero-padded, with no cut of the
+    powers, no fold and no nested rules.  Where |f|**p has a kink on the
+    circle its error decays like m**-(p+1), so m = 2**20 angles leave it
+    far below 1e-9 relative."""
+    scaled = f.coeffs * r ** np.arange(f.coeffs.size)
+    vals = np.abs(np.fft.ifft(scaled, m, norm="forward"))
+    return float(np.mean(vals ** p)) ** (1.0 / p)
+
+
 def closed_form_besov_p2(coeffs):
     """``|a_0| + (sum n |a_n|**2)**(1/2)``, summed exactly by fsum."""
     return abs(complex(coeffs[0])) + math.sqrt(math.fsum(
@@ -108,6 +119,62 @@ def test_circle_sample_rows_equal_circle_values(rng):
                 assert got.shape == (rows.size, m)
                 for r, row in zip(rows, got):
                     assert row.tobytes() == circle_values(f, r, m).tobytes()
+
+
+# The edge radii: r**300 is subnormal at 0.01 and 1e-3 (the cut falls
+# inside a degree-300 series), underflows to zero at 1e-300, and the
+# samples at r = 0 and r = 1 take no cut at all.
+_EDGE_RADII = [0.0, 1e-300, 1e-3, 0.01, 1.0]
+
+
+def test_half_circle_moduli_rows_equal_the_scalar_rows(rng):
+    # One FFT call takes every row of a batch, including the rows cut to
+    # their normal powers (r**300 is subnormal at r <= 0.09) beside rows
+    # that keep all 301 terms, when the rows fold (m = 64) or pad (m =
+    # 1024).  The moduli of each row are those of the call at its radius
+    # alone to the bit, and |circle_values| at the angles the row covers:
+    # k <= m/2 for a real series, every k for a complex one.
+    radii = np.array([0.0, 1e-300, 1e-3, 0.05, 0.5, 0.9, 1.0])
+    for f in (random_series(rng, 300), PowerSeries(rng.standard_normal(301))):
+        real = not f.coeffs.imag.any()
+        for m in (64, 1024):
+            with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rf, \
+                    mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as cf:
+                got = np.abs(norms._half_circle(f.coeffs, radii, m))
+            assert (rf.call_count, cf.call_count) == (real, not real)
+            assert got.shape == (radii.size, m // 2 + 1 if real else m)
+            for r, row in zip(radii, got):
+                alone = norms._half_circle(f.coeffs, np.array([r]), m)[0]
+                assert row.tobytes() == np.abs(alone).tobytes()
+                whole = np.abs(circle_values(f, r, m))
+                assert row.tobytes() == whole[:row.size].tobytes()
+    # A term past a row's cut is zero in that row, as when the row is taken
+    # alone, also beside a row that keeps it: 0.5**1050 is subnormal, but
+    # 2**600 * 0.5**1050 = 2**-450 is not.
+    lone = np.zeros(1051)
+    lone[1050] = 2.0 ** 600
+    got = np.abs(norms._half_circle(lone, np.array([0.5, 1.0]), 64))
+    assert not got[0].any() and got[1].min() > 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), degree=st.integers(0, 300),
+       r=st.floats(0.0, 1.0) | st.sampled_from(_EDGE_RADII),
+       p=st.floats(0.5, 4.0), log2m=st.integers(3, 11))
+def test_half_circle_rules_equal_the_whole_circle_rules(seed, degree, r, p,
+                                                        log2m):
+    # On the half circle of a real series the m-, m/2- and m/4-point rules
+    # weigh the angles 0 and pi once and the others twice; they are the
+    # means over the whole circle, summed in another order.  m = 8 keeps
+    # two angles for the m/4 rule; m below the length folds.
+    coeffs = np.random.default_rng(seed).standard_normal(degree + 1)
+    m, rows = 2 ** log2m, np.array([r])
+    whole = np.abs(norms._circle_samples(coeffs, rows, m)) ** p
+    want = np.array([whole[:, ::k].mean(axis=1) for k in (1, 2, 4)])
+    half = np.abs(norms._half_circle(coeffs, rows, m)) ** p
+    got = norms._trapezoid_rules(half, m)
+    assert np.all(np.abs(got - want) <= 8 * sys.float_info.epsilon
+                  * whole.max())
 
 
 # ----------------------------------------------------------- integral means
@@ -193,12 +260,6 @@ def test_mean_of_zero_function_is_zero():
     assert means.tolist() == [0.0, 0.0]
 
 
-# The edge radii: r**300 is subnormal at 0.01 and 1e-3 (the cut falls
-# inside a degree-300 series), underflows to zero at 1e-300, and the
-# samples at r = 0 and r = 1 take no cut at all.
-_EDGE_RADII = [0.0, 1e-300, 1e-3, 0.01, 1.0]
-
-
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2 ** 31), degree=st.integers(0, 300),
        real=st.booleans(), p=st.floats(1.1, 4.0).filter(lambda p: p != 2.0),
@@ -209,10 +270,14 @@ _EDGE_RADII = [0.0, 1e-300, 1e-3, 0.01, 1.0]
          picks=[2, 3, 4])
 @example(seed=3, degree=300, real=True, p=3.0, radii=_EDGE_RADII + [0.5],
          picks=[0, 3, 5])
+@example(seed=0, degree=208, real=True, p=1.25, radii=[1.0], picks=[0, 0])
 def test_mean_at_many_radii_equals_the_scalar_means(seed, degree, real, p,
                                                     radii, picks):
     # The batch takes its samples in row blocks and cuts each row to its
     # normal powers; every row must still be the scalar call, to the bit.
+    # The picks meet the dense FFT oracle: in the last example |f|**1.25
+    # has a kink on the unit circle, and a 2**16-angle Riemann sum there
+    # is 5.4e-9 off while the program is right to 2e-15.
     f = random_series(np.random.default_rng(seed), degree)
     if real:
         f = PowerSeries(f.coeffs.real)
@@ -220,7 +285,7 @@ def test_mean_at_many_radii_equals_the_scalar_means(seed, degree, real, p,
     assert got.dtype == float and got.shape == (len(radii),)
     assert got.tolist() == [integral_mean(f, r, p) for r in radii]
     for i in sorted({k % len(radii) for k in picks}):
-        assert got[i] == pytest.approx(brute_mean(f, radii[i], p), rel=1e-9)
+        assert got[i] == pytest.approx(fft_mean(f, radii[i], p), rel=1e-9)
 
 
 def test_mean_at_radii_of_several_row_blocks(rng):
@@ -433,6 +498,19 @@ def test_besov_quadrature_at_p2_matches_closed_form(rng):
     head = abs(complex(f.coeffs[0]))
     got = head + _besov_quadrature(f, 2.0, 1e-12)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_besov_quadrature_integrates_power_means_without_roots():
+    # The radial integrand reads the means of |f'|**p themselves: the
+    # p-th roots of integral_mean are never taken and raised back.
+    f = PowerSeries([0.3, 2.0, 0.25, -0.5])
+    with mock.patch.object(norms, "integral_mean",
+                           side_effect=AssertionError) as roots, \
+            mock.patch.object(norms, "_power_means",
+                              wraps=norms._power_means) as means:
+        semi = _besov_quadrature(f, 1.5, 1e-10)
+    assert means.called and not roots.called
+    assert 0.3 + semi == besov_norm(f, 1.5).value
 
 
 def test_besov_norm_rejects_exponent_one():
