@@ -22,7 +22,8 @@ a sum or a comprehension over the components:
   kernel ``g``: an atom in closed form, a table by quadrature between its
   grid nodes, a power-log density after the substitution
   ``t = 1 - exp(-u)``, which turns the boundary concentration at
-  ``t -> 1`` into plain exponential decay at the rate ``gamma - r_exp``;
+  ``t -> 1`` into plain exponential decay at the rate ``gamma - r_exp``,
+  on the dyadic u-panels ``[0, 1], [1, 2], [2, 4], ...`` from the start;
   the u-cutoff leaves out less than 1e-14 of the weight times ``bound``,
   which should bound ``|g|``, and a component that would need a cutoff
   beyond ``u = 400`` raises ``QuadratureError`` instead of being truncated;
@@ -163,7 +164,11 @@ class PowerLogDensity:
         def integrand(u):
             return g(-np.expm1(-u)) * self._weight(u, decay)
 
-        return integrate_adaptive(integrand, 0.0, cut, abs_tol=abs_tol).value
+        # the dyadic panels u = 1, 2, 4, ... below the cut, which bisection
+        # would otherwise find toward u = 0 one level at a time
+        dyadic = [2.0 ** k for k in range(int(cut).bit_length())]
+        return integrate_adaptive(integrand, 0.0, cut, abs_tol=abs_tol,
+                                  breakpoints=dyadic).value
 
     def moments(self, ns, abs_tol):
         """All moments up to ``max(ns)`` on one shared panel grid, refined

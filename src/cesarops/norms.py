@@ -31,14 +31,13 @@ exactly (see :func:`besov_norm`).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from cesarops.quadrature import gauss_rule, integrate_adaptive
-from cesarops.series import PowerSeries, derivative, evaluate
+from cesarops.series import _LOG_TINY, PowerSeries, derivative, evaluate
 
 __all__ = [
     "NormEstimate",
@@ -51,8 +50,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-#: log of the smallest normal float: ``r**n`` is subnormal beyond it
-_LOG_TINY = math.log(sys.float_info.min)
 #: coefficients per Parseval block: 0.4 MB of powers at 193 radii
 _PARSEVAL_BLOCK = 256
 #: angles per row block of the p != 2 means: at most 0.5 MB of samples
@@ -162,7 +159,8 @@ def integral_mean(f: PowerSeries, r: float | np.ndarray, p: float, *,
     while both are wrong, but generically not three.  When the three
     agree within ``1e-11 * max|f|**p`` the ``m``-point mean is returned;
     otherwise the radius alone runs through the adaptive panel scheme in
-    the angle, which refines around the kinks, to the same tolerance.
+    the angle (over ``0 .. pi`` for a real series), which refines around
+    the kinks, to the same tolerance.
     """
     if not 0.0 < p < math.inf:
         raise ValueError("integral mean requires 0 < p < inf")
@@ -205,14 +203,16 @@ def _trapezoid_rules(powers, m):
 
 
 def _angular_mean(coeffs, r, p, peak):
-    """Mean of |f|**p on |z| = r, adaptive in angle, to 1e-11 * max |f|**p."""
+    """Mean of |f|**p on |z| = r, adaptive in angle, to 1e-11 * max |f|**p;
+    for real coefficients over ``0 .. pi`` alone, whose mirror repeats it."""
     def integrand(theta):
         vals = npoly.polyval(r * np.exp(1j * theta), coeffs)
         return np.abs(vals) ** p
 
-    tol = max(peak, 1e-300) * 1e-11 * _TWO_PI
-    total = integrate_adaptive(integrand, 0.0, _TWO_PI, abs_tol=tol).value.real
-    return max(total, 0.0) / _TWO_PI
+    span = _TWO_PI if coeffs.imag.any() else math.pi
+    tol = max(peak, 1e-300) * 1e-11 * span
+    total = integrate_adaptive(integrand, 0.0, span, abs_tol=tol).value.real
+    return max(total, 0.0) / span
 
 
 def _dyadic_radii(level: int):

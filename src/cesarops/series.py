@@ -34,6 +34,7 @@ anything about the function it came from.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,8 @@ __all__ = [
 ]
 
 MAX_ABS_Z = 1.0 - 2.0 ** -40
+#: log of the smallest normal float: a power or ``exp`` below it is subnormal
+_LOG_TINY = math.log(sys.float_info.min)
 _INTEGRAL_EVAL_MAX_ABS_Z = 0.95
 
 
@@ -93,13 +96,21 @@ def _check_domain(z):
 
 def _horner_terms(c, rho):
     """Shortest prefix ``c[:K]``, ``K >= 1``, whose dropped tail is at most
-    ``2**-53 sum_k |c_k| rho**k``, summed in units of the largest term."""
-    with np.errstate(divide="ignore", under="ignore"):
+    ``2**-53 sum_k |c_k| rho**k``, summed in units of the largest term.
+
+    A term below ``tiny = sys.float_info.min`` times the largest is taken
+    as zero without its ``exp``, which would be subnormal and slow.  All
+    of them together weigh less than ``c.size * tiny``, far below the
+    ``2**-53`` that decides the cut, so the kept prefix does not change."""
+    with np.errstate(divide="ignore"):
         logw = np.log(np.abs(c))
         logw[1:] += np.arange(1, c.size) * np.log(rho)
-        if not logw.max() > -np.inf:
-            return c[:1]
-        tail = np.cumsum(np.exp(logw - logw.max())[::-1])[::-1]
+    top = logw.max()
+    if not top > -np.inf:
+        return c[:1]
+    logw -= top
+    weights = np.exp(logw, where=logw > _LOG_TINY, out=np.zeros(c.size))
+    tail = np.cumsum(weights[::-1])[::-1]
     return c[:1 + np.count_nonzero(tail[1:] > 2.0 ** -53 * tail[0])]
 
 

@@ -312,6 +312,26 @@ def test_integrate_power_density_with_r_exp_closed_form():
         assert value <= comp.integral_bound(r_exp)
 
 
+@settings(max_examples=40, deadline=None)
+@given(c=st.floats(0.1, 10.0), gamma=st.floats(0.1, 5.0),
+       n=st.integers(0, 2 ** 15), share=st.floats(0.0, 1.0),
+       tol=st.floats(1e-12, 1e-8))
+def test_power_density_meets_the_beta_integral_on_graded_panels(
+        c, gamma, n, share, tol):
+    # c (1 - t)**(gamma - 1 - rho) against t**n is c B(n + 1, gamma - rho).
+    # A decay gamma - rho >= 0.1 keeps the u-cutoff below 400, and the
+    # tolerance stays ten times above the kernel's own rounding: t**n
+    # carries (n + 1) 2**-53 of relative error, on a mass c / (gamma - rho).
+    rho = share * (gamma - 0.1)
+    decay = gamma - rho
+    tol = max(tol, 10.0 * (n + 1) * 2.0 ** -53 * c / decay)
+    value = PowerLogDensity(c, gamma).integrate(lambda t: t ** n, tol,
+                                                r_exp=rho)
+    with mpmath.workdps(30):
+        exact = float(c * mpmath.beta(n + 1, decay))
+    assert abs(value - exact) <= tol
+
+
 def test_integrate_atom_with_r_exp_closed_form():
     comp = PointMass(0.7, 0.6)
     r_exp = 0.4

@@ -28,6 +28,7 @@ from cesarops.norms import (
     mean_lipschitz_norm,
 )
 from cesarops.norms import _besov_quadrature, _dyadic_radii, _next_pow2
+from cesarops.quadrature import integrate_adaptive
 from cesarops.series import PowerSeries, derivative, evaluate, log_series
 from cesarops.series import test_function as make_test_function
 
@@ -308,6 +309,35 @@ def test_mean_at_radii_of_several_row_blocks(rng):
                 want = [integral_mean(f, r, p) for r in radii]
             assert not spy.called
             assert got.tolist() == want
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_angular_mean_of_a_real_series_takes_the_half_circle(rng, p):
+    # Real coefficients with the conjugate zeros 0.799 exp(+-1.1i), just
+    # inside the circle r = 0.8, so that |f|**p nearly kinks there.  The
+    # full-circle rule, to the same tolerance, is the oracle.
+    a = 0.799 * np.exp(1.1j)
+    coeffs = npoly.polymul([abs(a) ** 2, -2.0 * a.real, 1.0],
+                           rng.standard_normal(30)) + 0j
+    r = 0.8
+    peak = np.max(np.abs(npoly.polyval(
+        r * np.exp(2j * np.pi * np.arange(4096) / 4096), coeffs))) ** p
+
+    def integrand(theta):
+        return np.abs(npoly.polyval(r * np.exp(1j * theta), coeffs)) ** p
+
+    full = integrate_adaptive(integrand, 0.0, 2.0 * math.pi,
+                              abs_tol=1e-11 * peak * 2.0 * math.pi)
+    with mock.patch.object(norms, "integrate_adaptive",
+                           wraps=norms.integrate_adaptive) as spy:
+        got = norms._angular_mean(coeffs, r, p, peak)
+    assert spy.call_args.args[1:] == (0.0, math.pi)
+    assert abs(got - full.value.real / (2.0 * math.pi)) <= 1e-11 * peak
+    # a complex series keeps the whole circle
+    with mock.patch.object(norms, "integrate_adaptive",
+                           wraps=norms.integrate_adaptive) as spy:
+        norms._angular_mean(coeffs * 1j, r, p, peak)
+    assert spy.call_args.args[1:] == (0.0, 2.0 * math.pi)
 
 
 def test_one_kinked_radius_falls_back_alone_inside_a_batch(rng):

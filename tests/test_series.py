@@ -6,6 +6,7 @@ the production implementation would show up as a mismatch.
 """
 
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -16,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cesarops import measure as measure_module
 from cesarops.measure import moments
+from cesarops.quadrature import integrate_adaptive
 from cesarops.series import (
     MAX_ABS_Z,
     FunctionSpecError,
@@ -259,6 +262,38 @@ def test_horner_cut_meets_its_bound(case):
                   <= bound)
 
 
+def _unmasked_horner_terms(c, rho):
+    """The cut with every weight through ``exp``, subnormals included."""
+    with np.errstate(divide="ignore", under="ignore"):
+        logw = np.log(np.abs(c))
+        logw[1:] += np.arange(1, c.size) * np.log(rho)
+        if not logw.max() > -np.inf:
+            return c[:1]
+        tail = np.cumsum(np.exp(logw - logw.max())[::-1])[::-1]
+    return c[:1 + np.count_nonzero(tail[1:] > 2.0 ** -53 * tail[0])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_spread_series())
+def test_horner_cut_without_subnormal_weights_keeps_the_prefix(case):
+    c, rho, _ = case
+    assert np.array_equal(_horner_terms(c, rho),
+                          _unmasked_horner_terms(c, rho))
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.6, 0.9])
+def test_horner_cut_of_the_log_series_keeps_the_prefix(rho):
+    # at rho = 0.3 and 0.6 most weights k**-1 rho**k lie below the smallest
+    # normal float times the largest; at 0.9 none does
+    c = log_series(4096).coeffs
+    k = np.arange(1, c.size)
+    logw = k * math.log(rho) - np.log(k)
+    below = np.count_nonzero(logw - logw.max() < math.log(sys.float_info.min))
+    assert below > 2000 if rho < 0.9 else below == 0
+    assert np.array_equal(_horner_terms(c, rho),
+                          _unmasked_horner_terms(c, rho))
+
+
 @st.composite
 def _ray_case(draw):
     """Degree <= 300, magnitudes over 1e-20..1e20, real or complex, some
@@ -393,6 +428,32 @@ def test_integral_route_meets_an_mpmath_coefficient_route():
                                   (cesaro_like_derivative_eval(m, f, z),
                                    slope)):
                     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("name", ["lebesgue", "power_half"])
+def test_integral_route_settles_in_at_most_two_quadrature_levels(
+        catalog, rng, monkeypatch, name):
+    # A power-log kernel starts on the dyadic u-panels [0, 1], [1, 2],
+    # [2, 4], ...  Bisection of the whole u-interval reaches them toward
+    # u = 0 one level, and one integrand call, at a time: 5-6 calls here.
+    calls = []
+
+    def counted(f, a, b, **kwargs):
+        def integrand(u):
+            calls.append(u.size)
+            return f(u)
+        return integrate_adaptive(integrand, a, b, **kwargs)
+
+    monkeypatch.setattr(measure_module, "integrate_adaptive", counted)
+    functions = [log_series(4096), make_test_function(0.9, 2.0, 4096),
+                 random_series(rng, 4096)]
+    for f in functions:
+        for z in (0.3j, 0.6 * np.exp(2.2j), -0.89):
+            for route in (cesaro_like_integral_eval,
+                          cesaro_like_derivative_eval):
+                calls.clear()
+                route(catalog[name], f, z)
+                assert 1 <= len(calls) <= 2, (route.__name__, z, calls)
 
 
 def test_cesaro_like_requires_enough_moments(catalog, rng):
