@@ -52,7 +52,6 @@ from cesarops.norms import (
     NormEstimate,
     besov_norm,
     bloch_norm,
-    circle_values,
     growth_ratio,
     integral_mean,
     mean_lipschitz_norm,

@@ -344,8 +344,9 @@ class RadialMeasure:
         for comp in comps:
             if not isinstance(comp, tuple(_KINDS.values())):
                 raise MeasureSpecError("unknown component type %r" % (comp,))
-        if not total_mass(self) > 0.0:
-            raise MeasureSpecError("measure must have positive total mass")
+        if not 0.0 < total_mass(self) < math.inf:
+            raise MeasureSpecError(
+                "measure must have positive, finite total mass")
 
 
 @dataclass(frozen=True)

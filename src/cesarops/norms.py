@@ -12,8 +12,9 @@ Three families are implemented, all built from values of the derivative:
 the Parseval sum ``(sum |b_n|**2 r**(2n))**(1/2)`` when ``p = 2``.
 Otherwise it is a trapezoid rule on FFT samples of the circle, checked
 by nested rules (see :func:`integral_mean`).  The means and the Bloch
-maximum read moduli only, for real coefficients on the half circle
-``0 .. pi``: the mirror ``g(conj z) = conj g(z)`` repeats the other half.
+maximum read the moduli of one row-blocked sampler, a batch of radii per
+FFT call; for real coefficients on the half circle ``0 .. pi`` alone, as
+the mirror ``g(conj z) = conj g(z)`` repeats the other half.
 
 The two sup-type norms are estimated on nested dyadic ladders: level ``l``
 uses radii ``r = 1 - 2**(-j / 2**l)`` for ``j = 0 .. 12 * 2**l`` and, for
@@ -41,7 +42,6 @@ from cesarops.series import _LOG_TINY, PowerSeries, derivative, evaluate
 
 __all__ = [
     "NormEstimate",
-    "circle_values",
     "integral_mean",
     "bloch_norm",
     "besov_norm",
@@ -52,7 +52,7 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 #: coefficients per Parseval block: 0.4 MB of powers at 193 radii
 _PARSEVAL_BLOCK = 256
-#: angles per row block of the p != 2 means: at most 0.5 MB of samples
+#: samples per row block of :func:`_moduli`: at most 0.5 MB of them
 _SAMPLE_BLOCK = 2 ** 15
 #: levels of the nested dyadic ladder behind both sup-type norms
 _LEVELS = 5
@@ -79,36 +79,12 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (int(n) - 1).bit_length())
 
 
-def circle_values(f: PowerSeries, r: float, m: int) -> np.ndarray:
-    """Values of ``f`` at the ``m`` points ``r * exp(2 pi i k / m)``.
-
-    Only the terms whose ``r**n`` is a normal float, ``n <= log(tiny) /
-    log(r)`` with ``tiny = sys.float_info.min``, are kept.  The dropped
-    tail is at most ``tiny * sum |a_n|`` in modulus; subnormal powers are
-    slow to compute and lose every term below ``2**-1074`` anyway.
-    Folding the scaled coefficients modulo ``m`` before the FFT gives
-    exact sample values for every ``m >= 1``.  Real coefficients take the
-    real FFT for ``k <= m/2`` and the mirror ``f(conj z) = conj f(z)`` for
-    the rest (the means and the Bloch maximum read the moduli at ``k <=
-    m/2`` alone); complex ones take the complex inverse FFT.
-    """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("circle radius must lie in [0, 1]")
-    if m < 1:
-        raise ValueError("need at least one sample angle")
-    return _circle_samples(f.coeffs, np.array([r], dtype=float), m)[0]
-
-
-def _circle_samples(coeffs, radii, m):
-    """:func:`circle_values` at every radius, one row each."""
-    half = _half_circle(coeffs, radii, m)
-    return half if coeffs.imag.any() else np.concatenate(
-        [half.conj(), half[:, (m - 1) // 2:0:-1]], axis=1)
-
-
 def _half_circle(coeffs, radii, m):
-    """Per radius, ``conj f`` at ``k <= m/2`` by the real FFT of real
-    coefficients, else ``f`` at every ``k``; subnormal ``r**n`` are zeros."""
+    """Per radius, ``conj f(r exp(2 pi i k / m))`` at ``k <= m/2`` by the
+    real FFT of real coefficients, else ``f`` at every ``k``, one row each.
+    Terms with a subnormal ``r**n`` are zeros: the dropped tail is at most
+    ``sys.float_info.min * sum |a_n|``.  Folding the scaled coefficients
+    modulo ``m`` gives exact samples for every ``m >= 1``."""
     with np.errstate(divide="ignore"):
         cuts = np.where(radii < 1.0, _LOG_TINY / np.log(radii), np.inf)
     real = not coeffs.imag.any()
@@ -122,6 +98,14 @@ def _half_circle(coeffs, radii, m):
         scaled = scaled.reshape(len(radii), scaled.shape[1] // m, m).sum(1)
     return (np.fft.rfft(scaled, m) if real
             else np.fft.ifft(scaled, m, norm="forward"))
+
+
+def _moduli(coeffs, radii, m):
+    """Yield ``(block, |_half_circle(coeffs, block, m)|)`` over blocks of at
+    most ``_SAMPLE_BLOCK // m`` consecutive radii."""
+    size = max(1, _SAMPLE_BLOCK // m)
+    for block in np.split(radii, range(size, radii.size, size)):
+        yield block, np.abs(_half_circle(coeffs, block, m))
 
 
 def _mean_squares(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -180,10 +164,9 @@ def integral_mean(f: PowerSeries, r: float | np.ndarray, p: float, *,
 def _power_means(coeffs, radii, p):
     """:func:`integral_mean` at every radius before its ``p``-th root."""
     m = _next_pow2(max(512, 4 * coeffs.size))
-    size = max(1, _SAMPLE_BLOCK // m)
     means = []
-    for block in np.split(radii, range(size, radii.size, size)):
-        powers = np.abs(_half_circle(coeffs, block, m)) ** p
+    for block, moduli in _moduli(coeffs, radii, m):
+        powers = moduli ** p
         peaks = powers.max(axis=1)
         rules = _trapezoid_rules(powers, m)
         settled = rules.max(axis=0) - rules.min(axis=0) <= 1e-11 * peaks
@@ -252,9 +235,9 @@ def bloch_norm(f: PowerSeries) -> NormEstimate:
     df = derivative(f)
     base_m = _next_pow2(max(256, df.coeffs.size))
 
-    def values(radii, m):  # one row at a time: the work is FFT-bound
-        return (1.0 - radii * radii) * np.array([np.abs(_half_circle(
-            df.coeffs, row, m)).max() for row in radii[:, None]])
+    def values(radii, m):
+        return (1.0 - radii * radii) * np.concatenate(
+            [moduli.max(axis=1) for _, moduli in _moduli(df.coeffs, radii, m)])
 
     angles = [max(base_m, 2 ** (6 + level)) for level in range(_LEVELS)]
     return _sup_ladder(f, values, angles,

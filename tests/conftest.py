@@ -1,7 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from cesarops.catalog import catalog_measures, load_builtin_measure
+
+# hypothesis explains a failing property through hypothesis.extra._patching,
+# whose libcst import warns of the deprecated mypy_extensions.TypedDict.
+# Under -W error that warning ends the run in INTERNALERROR instead of the
+# falsifying example, so the module is imported once here with the warning
+# ignored; without libcst the import fails and hypothesis skips the patch.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

@@ -379,6 +379,26 @@ def test_misspelled_measure_key_is_an_input_error(capsys, tmp_path):
     assert "unknown key 'bta' in power_log component" in err
 
 
+@pytest.mark.parametrize("components", [
+    [{"kind": "point", "w": 1e308, "t0": 0.5},
+     {"kind": "point", "w": 1e308, "t0": 0.25}],
+    [{"kind": "power_log", "c": 1e308, "gamma": 1e-10}],
+], ids=["two-atoms", "power-log"])
+@pytest.mark.parametrize("argv", [
+    ("moments", "--n-max", "4"),
+    ("classify", "--s", "1", "--alpha", "1"),
+], ids=["moments", "classify"])
+def test_infinite_total_mass_is_an_input_error(capsys, tmp_path, components,
+                                               argv):
+    # the atoms printed mu_0 = Infinity at exit 0, the power-log density
+    # failed at exit 3 on an infinite u-cutoff
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"components": components}))
+    code, out, err = run(capsys, argv[0], "--measure", str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert "measure must have positive, finite total mass" in err
+
+
 @pytest.mark.parametrize("argv, template, message", [
     (("moments", "--measure"),
      '{"components": [{"kind": "point", "w": %s, "t0": 0.5}]}',

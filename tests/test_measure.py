@@ -197,6 +197,10 @@ def test_measure_file_round_trip(tmp_path, catalog):
     {"components": [{"kind": "power_log", "c": "1", "gamma": "1"}]},
     {"components": [{"kind": "table", "x": [0, 0.5], "v": [True, True]}]},
     {"components": [{"kind": "power_log", "c": 1.0}]},
+    # finite components of infinite total mass gave mu_0 = inf at exit 0
+    {"components": [{"kind": "point", "w": 1e308, "t0": 0.5},
+                    {"kind": "point", "w": 1e308, "t0": 0.25}]},
+    {"components": [{"kind": "power_log", "c": 1e308, "gamma": 1e-10}]},
 ])
 def test_invalid_specs_rejected(bad):
     with pytest.raises(MeasureSpecError):

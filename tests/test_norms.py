@@ -22,7 +22,6 @@ from cesarops import norms
 from cesarops.norms import (
     besov_norm,
     bloch_norm,
-    circle_values,
     growth_ratio,
     integral_mean,
     mean_lipschitz_norm,
@@ -69,9 +68,24 @@ def brute_ladder(per_radius, max_levels=5):
 # ----------------------------------------------------------------- samples
 
 
+def half_circle_polyval(coeffs, r, m):
+    """``polyval`` at the angles a row of ``_half_circle`` covers: ``conj f``
+    at ``k <= m/2`` for a real series, ``f`` at every ``k`` for a complex
+    one."""
+    real = not coeffs.imag.any()
+    theta = np.arange(m // 2 + 1 if real else m) * (2.0 * math.pi / m)
+    vals = npoly.polyval(r * np.exp(1j * theta), coeffs)
+    return vals.conj() if real else vals
+
+
+def half_row(f, r, m):
+    """The row of ``_half_circle`` at the radius ``r`` alone."""
+    return norms._half_circle(f.coeffs, np.array([r]), m)[0]
+
+
 def test_circle_values_match_naive_polyval(rng):
     # Complex and real coefficients take different FFTs; an odd m has no
-    # Nyquist angle in the mirror; m below the length folds, m above it
+    # Nyquist angle in the real FFT; m below the length folds, m above it
     # pads.  At degree 4096 the radii 0.3 and 0.9 drop the terms whose
     # r**n is subnormal (at r = 1 Horner's own error there exceeds 1e-12).
     short, long = random_series(rng, 40), random_series(rng, 4096)
@@ -81,9 +95,9 @@ def test_circle_values_match_naive_polyval(rng):
               for r in (0.3, 0.9)]
     for f, r in cases:
         for m in (7, 13, 45, 64, 8192):
-            theta = np.arange(m) * (2.0 * math.pi / m)
-            want = npoly.polyval(r * np.exp(1j * theta), f.coeffs)
-            got = circle_values(f, r, m)
+            want = half_circle_polyval(f.coeffs, r, m)
+            got = half_row(f, r, m)
+            assert got.shape == want.shape
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -97,29 +111,13 @@ def test_circle_values_keep_every_normal_power(r):
     last = int(np.flatnonzero(powers >= tiny)[-1])
     kept = np.zeros(last + 1)
     kept[last] = big
-    angles = (2.0 * math.pi / m) * (last * np.arange(m) % m)
-    assert np.allclose(circle_values(PowerSeries(kept), r, m),
-                       big * powers[last] * np.exp(1j * angles),
+    angles = (2.0 * math.pi / m) * (last * np.arange(m // 2 + 1) % m)
+    assert np.allclose(half_row(PowerSeries(kept), r, m),
+                       big * powers[last] * np.exp(-1j * angles),
                        rtol=1e-12, atol=0.0)
     dropped = np.zeros(last + 2)
     dropped[last + 1] = big
-    assert np.max(np.abs(circle_values(PowerSeries(dropped), r, m))) \
-        <= tiny * big
-
-
-def test_circle_sample_rows_equal_circle_values(rng):
-    # The rows of the batched samples are circle_values to the bit, when
-    # the rows fold (m = 64 < 301 terms) or pad (m = 1024), when some or
-    # all rows lose terms to the normal-power cut (r**300 is subnormal at
-    # r <= 0.09), and for no rows at all.
-    radii = np.array([0.5, 0.0, 0.9, 1e-3, 1.0, 0.05, 0.3])
-    for f in (random_series(rng, 300), PowerSeries(rng.standard_normal(301))):
-        for m in (64, 1024):
-            for rows in (radii, radii[[1, 3, 5]], radii[:0]):
-                got = norms._circle_samples(f.coeffs, rows, m)
-                assert got.shape == (rows.size, m)
-                for r, row in zip(rows, got):
-                    assert row.tobytes() == circle_values(f, r, m).tobytes()
+    assert np.max(np.abs(half_row(PowerSeries(dropped), r, m))) <= tiny * big
 
 
 # The edge radii: r**300 is subnormal at 0.01 and 1e-3 (the cut falls
@@ -132,23 +130,30 @@ def test_half_circle_moduli_rows_equal_the_scalar_rows(rng):
     # One FFT call takes every row of a batch, including the rows cut to
     # their normal powers (r**300 is subnormal at r <= 0.09) beside rows
     # that keep all 301 terms, when the rows fold (m = 64) or pad (m =
-    # 1024).  The moduli of each row are those of the call at its radius
-    # alone to the bit, and |circle_values| at the angles the row covers:
-    # k <= m/2 for a real series, every k for a complex one.
+    # 1024), for some of the radii and for none.  Each row, and its
+    # moduli, are those of the call at its radius alone to the bit, and
+    # the polyval values at the angles the row covers: k <= m/2 for a
+    # real series, every k for a complex one.
     radii = np.array([0.0, 1e-300, 1e-3, 0.05, 0.5, 0.9, 1.0])
     for f in (random_series(rng, 300), PowerSeries(rng.standard_normal(301))):
         real = not f.coeffs.imag.any()
+        tol = 1e-13 * np.sum(np.abs(f.coeffs))
         for m in (64, 1024):
-            with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rf, \
-                    mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as cf:
-                got = np.abs(norms._half_circle(f.coeffs, radii, m))
-            assert (rf.call_count, cf.call_count) == (real, not real)
-            assert got.shape == (radii.size, m // 2 + 1 if real else m)
-            for r, row in zip(radii, got):
-                alone = norms._half_circle(f.coeffs, np.array([r]), m)[0]
-                assert row.tobytes() == np.abs(alone).tobytes()
-                whole = np.abs(circle_values(f, r, m))
-                assert row.tobytes() == whole[:row.size].tobytes()
+            for rows in (radii, radii[[1, 3, 5]], radii[:0]):
+                with mock.patch.object(np.fft, "rfft",
+                                       wraps=np.fft.rfft) as rf, \
+                        mock.patch.object(np.fft, "ifft",
+                                          wraps=np.fft.ifft) as cf:
+                    got = norms._half_circle(f.coeffs, rows, m)
+                assert (rf.call_count, cf.call_count) == (real, not real)
+                assert got.shape == (rows.size, m // 2 + 1 if real else m)
+                moduli = np.abs(got)
+                for r, row, mod in zip(rows, got, moduli):
+                    alone = half_row(f, r, m)
+                    assert row.tobytes() == alone.tobytes()
+                    assert mod.tobytes() == np.abs(alone).tobytes()
+                    assert np.allclose(row, half_circle_polyval(
+                        f.coeffs, r, m), rtol=1e-12, atol=tol)
     # A term past a row's cut is zero in that row, as when the row is taken
     # alone, also beside a row that keeps it: 0.5**1050 is subnormal, but
     # 2**600 * 0.5**1050 = 2**-450 is not.
@@ -166,13 +171,20 @@ def test_half_circle_rules_equal_the_whole_circle_rules(seed, degree, r, p,
                                                         log2m):
     # On the half circle of a real series the m-, m/2- and m/4-point rules
     # weigh the angles 0 and pi once and the others twice; they are the
-    # means over the whole circle, summed in another order.  m = 8 keeps
-    # two angles for the m/4 rule; m below the length folds.
+    # means over the whole circle, summed in another order.  The whole
+    # circle is the half row and its mirror |f(conj z)| = |f(z)|, which
+    # meets polyval at all m angles.  m = 8 keeps two angles for the m/4
+    # rule; m below the length folds.
     coeffs = np.random.default_rng(seed).standard_normal(degree + 1)
     m, rows = 2 ** log2m, np.array([r])
-    whole = np.abs(norms._circle_samples(coeffs, rows, m)) ** p
+    half = np.abs(norms._half_circle(coeffs, rows, m))
+    whole = np.concatenate([half, half[:, (m - 1) // 2:0:-1]], axis=1)
+    theta = np.arange(m) * (2.0 * math.pi / m)
+    assert np.allclose(whole[0], np.abs(npoly.polyval(
+        r * np.exp(1j * theta), coeffs)), rtol=0.0,
+        atol=1e-12 * np.sum(np.abs(coeffs)))
+    whole, half = whole ** p, half ** p
     want = np.array([whole[:, ::k].mean(axis=1) for k in (1, 2, 4)])
-    half = np.abs(norms._half_circle(coeffs, rows, m)) ** p
     got = norms._trapezoid_rules(half, m)
     assert np.all(np.abs(got - want) <= 8 * sys.float_info.epsilon
                   * whole.max())
@@ -196,11 +208,9 @@ def test_mean_square_matches_sampled_circle_mean(rng):
     # |f|**2 on the circle is a trigonometric polynomial of degree 2 deg,
     # so the uniform mean over m >= 2 deg + 1 angles is exact.
     f = random_series(rng, 300)
-    m = 1024
     for r in (0.0, 0.5, 1.0 - 2.0 ** -10, 1.0):
-        sampled = math.sqrt(float(np.mean(
-            np.abs(circle_values(f, r, m)) ** 2)))
-        assert integral_mean(f, r, 2.0) == pytest.approx(sampled, rel=1e-13)
+        assert integral_mean(f, r, 2.0) == pytest.approx(
+            brute_mean(f, r, 2.0, m=1024), rel=1e-13)
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -404,7 +414,9 @@ def test_bloch_history_equals_per_level_brute_maximum(rng):
     # Degree 40 keeps the angle count at 256 for levels 0-2 and doubles
     # it at levels 3 and 4, so both the shared and the re-evaluated
     # levels are exercised.  Complex coefficients take the complex FFT,
-    # real ones the real FFT and the mirror.
+    # real ones the real FFT.  The sampler takes block // m radii a call:
+    # one row each at 256 samples a block, 2, 5 and 11 rows at 3000, and
+    # 32, 64 and 128 at the default, each level's last block short.
     g = random_series(rng, 40)
     for f in (g, PowerSeries(g.coeffs.real)):
         df = derivative(f)
@@ -412,12 +424,20 @@ def test_bloch_history_equals_per_level_brute_maximum(rng):
 
         def per_radius(r, level):
             m = max(base_m, 2 ** (6 + level))
-            return (1.0 - r * r) * float(
-                np.max(np.abs(circle_values(df, r, m))))
+            return (1.0 - r * r) * float(np.max(np.abs(half_row(df, r, m))))
 
         head = abs(complex(f.coeffs[0]))
         want = tuple(head + h for h in brute_ladder(per_radius))
-        assert bloch_norm(f).refinements == want
+        for block in (256, 3000, norms._SAMPLE_BLOCK):
+            with mock.patch.object(norms, "_SAMPLE_BLOCK", block), \
+                    mock.patch.object(norms, "_half_circle",
+                                      wraps=norms._half_circle) as spy:
+                assert bloch_norm(f).refinements == want
+            rows = []
+            for m, n in [(1024, 193), (512, 97), (256, 49)]:
+                size = max(1, block // m)
+                rows += [size] * (n // size) + [n % size] * (n % size > 0)
+            assert [c.args[1].size for c in spy.call_args_list] == rows
 
 
 def test_mean_lipschitz_p2_history_matches_per_level_brute_maximum(rng):
@@ -623,7 +643,8 @@ def test_bloch_norm_is_absolutely_homogeneous(seed, scale, phase):
        phase=st.floats(0.01, math.pi - 0.01))
 def test_real_and_complex_circle_paths_agree(seed, degree, phase):
     # A global phase e^{i phase} sends a real series down the complex FFT;
-    # its samples are e^{i phase} times the real FFT's, and the Bloch
+    # its samples, polyval's at every angle, are e^{i phase} times the
+    # conjugates of the real FFT's at k <= m/2, and the Bloch
     # ladders agree to FFT rounding, about log2(m) ulp of the sup: 1,500
     # draws of this strategy gave at most 6 ulp at m <= 1024.
     coeffs = np.random.default_rng(seed).standard_normal(degree + 1)
@@ -633,11 +654,14 @@ def test_real_and_complex_circle_paths_agree(seed, degree, phase):
     with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft:
         for r, m in [(0.5, 7), (0.9, 64), (1.0, 256)]:
             calls = rfft.call_count
-            want = circle_values(real, r, m)
+            want = half_row(real, r, m)
             assert rfft.call_count == calls + 1
-            got = circle_values(turned, r, m)
+            got = half_row(turned, r, m)
             assert rfft.call_count == calls + 1
-            assert np.max(np.abs(got - unit * want)) <= tol
+            assert got.shape == (m,) and want.shape == (m // 2 + 1,)
+            assert np.max(np.abs(got[:want.size] - unit * want.conj())) <= tol
+            assert np.max(np.abs(got - half_circle_polyval(
+                turned.coeffs, r, m))) <= tol
     np.testing.assert_array_max_ulp(
         np.array(bloch_norm(turned).refinements),
         np.array(bloch_norm(real).refinements), maxulp=16)
