@@ -120,6 +120,22 @@ def test_circle_values_keep_every_normal_power(r):
     assert np.max(np.abs(half_row(PowerSeries(dropped), r, m))) <= tiny * big
 
 
+def test_circle_sample_rows_equal_circle_values(rng):
+    # The rows of a batch are the call at each radius alone to the bit,
+    # when the rows fold (m = 64 < 301 terms) or pad (m = 1024), when some
+    # or all rows lose terms to the normal-power cut (r**300 is subnormal
+    # at r <= 0.09), for radii in any order, and for no rows at all.
+    radii = np.array([0.5, 0.0, 0.9, 1e-3, 1.0, 0.05, 0.3])
+    for f in (random_series(rng, 300), PowerSeries(rng.standard_normal(301))):
+        real = not f.coeffs.imag.any()
+        for m in (64, 1024):
+            for rows in (radii, radii[[1, 3, 5]], radii[:0]):
+                got = norms._half_circle(f.coeffs, rows, m)
+                assert got.shape == (rows.size, m // 2 + 1 if real else m)
+                for r, row in zip(rows, got):
+                    assert row.tobytes() == half_row(f, r, m).tobytes()
+
+
 # The edge radii: r**300 is subnormal at 0.01 and 1e-3 (the cut falls
 # inside a degree-300 series), underflows to zero at 1e-300, and the
 # samples at r = 0 and r = 1 take no cut at all.
@@ -130,30 +146,23 @@ def test_half_circle_moduli_rows_equal_the_scalar_rows(rng):
     # One FFT call takes every row of a batch, including the rows cut to
     # their normal powers (r**300 is subnormal at r <= 0.09) beside rows
     # that keep all 301 terms, when the rows fold (m = 64) or pad (m =
-    # 1024), for some of the radii and for none.  Each row, and its
-    # moduli, are those of the call at its radius alone to the bit, and
-    # the polyval values at the angles the row covers: k <= m/2 for a
-    # real series, every k for a complex one.
+    # 1024).  The moduli of each row are those of the call at its radius
+    # alone to the bit, and the polyval values at the angles the row
+    # covers: k <= m/2 for a real series, every k for a complex one.
     radii = np.array([0.0, 1e-300, 1e-3, 0.05, 0.5, 0.9, 1.0])
     for f in (random_series(rng, 300), PowerSeries(rng.standard_normal(301))):
         real = not f.coeffs.imag.any()
         tol = 1e-13 * np.sum(np.abs(f.coeffs))
         for m in (64, 1024):
-            for rows in (radii, radii[[1, 3, 5]], radii[:0]):
-                with mock.patch.object(np.fft, "rfft",
-                                       wraps=np.fft.rfft) as rf, \
-                        mock.patch.object(np.fft, "ifft",
-                                          wraps=np.fft.ifft) as cf:
-                    got = norms._half_circle(f.coeffs, rows, m)
-                assert (rf.call_count, cf.call_count) == (real, not real)
-                assert got.shape == (rows.size, m // 2 + 1 if real else m)
-                moduli = np.abs(got)
-                for r, row, mod in zip(rows, got, moduli):
-                    alone = half_row(f, r, m)
-                    assert row.tobytes() == alone.tobytes()
-                    assert mod.tobytes() == np.abs(alone).tobytes()
-                    assert np.allclose(row, half_circle_polyval(
-                        f.coeffs, r, m), rtol=1e-12, atol=tol)
+            with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rf, \
+                    mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as cf:
+                got = np.abs(norms._half_circle(f.coeffs, radii, m))
+            assert (rf.call_count, cf.call_count) == (real, not real)
+            assert got.shape == (radii.size, m // 2 + 1 if real else m)
+            for r, row in zip(radii, got):
+                assert row.tobytes() == np.abs(half_row(f, r, m)).tobytes()
+                assert np.allclose(row, np.abs(half_circle_polyval(
+                    f.coeffs, r, m)), rtol=1e-12, atol=tol)
     # A term past a row's cut is zero in that row, as when the row is taken
     # alone, also beside a row that keeps it: 0.5**1050 is subnormal, but
     # 2**600 * 0.5**1050 = 2**-450 is not.
