@@ -134,10 +134,9 @@ def _cmd_apply(args) -> str:
     m = resolve_measure(args.measure)
     f = resolve_function(args.function)
     n_max = max(args.n_max, f.degree)
-    coeffs = np.zeros(n_max + 1, dtype=complex)
-    coeffs[:f.degree + 1] = f.coeffs
     mu = moments(m, n_max)
-    result = cesaro_like(mu, PowerSeries(coeffs))
+    result = cesaro_like(mu, PowerSeries(np.pad(f.coeffs,
+                                                (0, n_max - f.degree))))
     rows = [(n, c.real, c.imag) for n, c in enumerate(result.coeffs)]
     return _csv(rows, ("n", "re", "im"))
 

@@ -14,14 +14,17 @@ Otherwise it is a trapezoid rule on FFT samples of the circle, checked
 by nested rules (see :func:`integral_mean`).  The means and the Bloch
 maximum read the moduli of one row-blocked sampler, a batch of radii per
 FFT call; for real coefficients on the half circle ``0 .. pi`` alone, as
-the mirror ``g(conj z) = conj g(z)`` repeats the other half.
+the mirror ``g(conj z) = conj g(z)`` repeats the other half.  When every
+coefficient of ``f'`` is real and ``>= 0`` the Bloch maximum on each
+circle is ``f'(r)``, on the real axis, and no circle is sampled.
 
 The two sup-type norms are estimated on nested dyadic ladders: level ``l``
 uses radii ``r = 1 - 2**(-j / 2**l)`` for ``j = 0 .. 12 * 2**l`` and, for
-the Bloch norm, ``max(base, 2**(6+l))`` sample angles.  Each level's grid
-contains the previous one, so the recorded refinement history is
-nondecreasing (up to FFT rounding where the Bloch angle count doubles)
-and its increments measure how well the sup has converged.
+the sampled Bloch maximum, ``max(base, 2**(6+l))`` sample angles.  Each
+level's grid contains the previous one, so the recorded refinement
+history is nondecreasing (up to FFT rounding where the Bloch angle count
+doubles; exactly on the real axis) and its increments measure how well
+the sup has converged.
 
 The Besov norm has a closed form at ``p = 2``.  Otherwise its radial
 integral is singular at ``r = 1`` when ``p < 2``; the segment ``r > 1/2``
@@ -50,8 +53,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-#: coefficients per Parseval block: 0.4 MB of powers at 193 radii
-_PARSEVAL_BLOCK = 256
+#: coefficients per block of :func:`_power_sums`: 0.4 MB of powers at
+#: 193 radii
+_POWER_BLOCK = 256
 #: samples per row block of :func:`_moduli`: at most 0.5 MB of them
 _SAMPLE_BLOCK = 2 ** 15
 #: levels of the nested dyadic ladder behind both sup-type norms
@@ -108,17 +112,21 @@ def _moduli(coeffs, radii, m):
         yield block, np.abs(_half_circle(coeffs, block, m))
 
 
-def _mean_squares(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """``M_2(r, f)**2 = sum |a_n|**2 r**(2n)`` at every radius (Parseval),
-    with ``r**(2n)`` split as ``r**(2 B k) * r**(2i)`` over blocks of B."""
-    weights = np.abs(coeffs) ** 2
-    blocks = np.pad(weights, (0, -weights.size % _PARSEVAL_BLOCK))
-    blocks = blocks.reshape(-1, _PARSEVAL_BLOCK)
+def _power_sums(weights, radii, step):
+    """``sum_n w_n r**(step n)`` at every radius, with ``r**(step n)``
+    split as ``r**(step B k) * r**(step i)`` over blocks of B terms."""
+    blocks = np.pad(weights, (0, -weights.size % _POWER_BLOCK))
+    blocks = blocks.reshape(-1, _POWER_BLOCK)
     with np.errstate(under="ignore"):
-        powers = radii[:, None] ** (2.0 * np.arange(_PARSEVAL_BLOCK))
+        powers = radii[:, None] ** (step * np.arange(_POWER_BLOCK))
         starts = radii[:, None] ** (
-            2.0 * _PARSEVAL_BLOCK * np.arange(len(blocks)))
+            step * _POWER_BLOCK * np.arange(len(blocks)))
         return np.sum(starts * (powers @ blocks.T), axis=1)
+
+
+def _mean_squares(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """``M_2(r, f)**2 = sum |a_n|**2 r**(2n)`` at every radius (Parseval)."""
+    return _power_sums(np.abs(coeffs) ** 2, radii, 2.0)
 
 
 def integral_mean(f: PowerSeries, r: float | np.ndarray, p: float, *,
@@ -231,8 +239,24 @@ def _sup_ladder(f, values, keys, grid):
 
 
 def bloch_norm(f: PowerSeries) -> NormEstimate:
-    """Bloch norm ``|f(0)| + sup (1 - |z|^2) |f'(z)|`` on nested grids."""
+    """Bloch norm ``|f(0)| + sup (1 - |z|^2) |f'(z)|`` on nested grids.
+
+    When every coefficient of ``f'`` is real and ``>= 0``, ``|f'(r e^{it})|
+    <= f'(r)`` with equality at ``t = 0``, so the sup on each circle is
+    ``(1 - r^2) f'(r)``: it is evaluated once at the finest radii, whose
+    strides are the coarser levels, and the history is exactly
+    nondecreasing.  Any other ``f'`` is sampled on each circle at FFT
+    angles, and its history is nondecreasing up to FFT rounding.
+    """
     df = derivative(f)
+    if not df.coeffs.imag.any() and np.all(df.coeffs.real >= 0.0):
+        def axis(radii, _):
+            return (1.0 - radii * radii) * _power_sums(df.coeffs.real,
+                                                       radii, 1.0)
+
+        return _sup_ladder(f, axis, [None] * _LEVELS,
+                           "dyadic radial ladder, levels 0..%d; real axis, "
+                           "nonnegative coefficients" % (_LEVELS - 1))
     base_m = _next_pow2(max(256, df.coeffs.size))
 
     def values(radii, m):

@@ -72,16 +72,26 @@ class FunctionSpecError(ValueError):
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Truncated power series with complex coefficients ``coeffs[n] = a_n``."""
+    """Truncated power series with coefficients ``coeffs[n] = a_n``.
+
+    The coefficients are a copy of the input: float64 when every imaginary
+    part is zero (the test functions, ``log_series`` and their images
+    under a positive measure), at half the memory, and complex128
+    otherwise.  Every routine here gives the same values for a real series
+    in either dtype.
+    """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
+        arr = np.atleast_1d(np.asarray(self.coeffs))
+        arr = arr.astype(float if arr.dtype.kind in "biuf" else complex)
         if arr.ndim != 1 or arr.size == 0:
             raise FunctionSpecError("coefficients must form a nonempty vector")
         if not np.all(np.isfinite(arr)):
             raise FunctionSpecError("coefficients must be finite")
+        if arr.dtype == complex and not arr.imag.any():
+            arr = arr.real.copy()
         object.__setattr__(self, "coeffs", arr)
 
     @property
@@ -126,7 +136,7 @@ def evaluate(f: PowerSeries, z):
 
 def derivative(f: PowerSeries) -> PowerSeries:
     if f.degree == 0:
-        return PowerSeries(np.zeros(1, dtype=complex))
+        return PowerSeries(np.zeros(1))
     return PowerSeries(f.coeffs[1:] * np.arange(1, f.coeffs.size))
 
 
@@ -254,7 +264,7 @@ def log_series(degree: int) -> PowerSeries:
     """Truncation of ``log(1/(1-z)) = sum_{k>=1} z**k / k``."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    coeffs = np.zeros(degree + 1, dtype=complex)
+    coeffs = np.zeros(degree + 1)
     coeffs[1:] = 1.0 / np.arange(1, degree + 1)
     return PowerSeries(coeffs)
 
@@ -273,7 +283,7 @@ def test_function(t: float, p: float, degree: int) -> PowerSeries:
     if degree < 1:
         raise ValueError("degree must be >= 1")
     k = np.arange(1, degree + 1)
-    coeffs = np.zeros(degree + 1, dtype=complex)
+    coeffs = np.zeros(degree + 1)
     with np.errstate(under="ignore"):
         coeffs[1:] = np.exp(k * math.log(t)) / k
     scale = (1.0 - math.log1p(-t)) ** (-1.0 / p)

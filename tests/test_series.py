@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from cesarops import measure as measure_module
 from cesarops.measure import moments
+from cesarops.norms import _half_circle, _mean_squares
 from cesarops.quadrature import integrate_adaptive
 from cesarops.series import (
     MAX_ABS_Z,
@@ -38,6 +39,11 @@ from cesarops.series import (_BUILTINS, _RAY_BLOCK, _horner_terms,
 from cesarops.series import test_function as make_test_function
 
 from conftest import random_series
+
+
+def bits(values):
+    """The bit patterns of a float array, to compare values and signs."""
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
 
 
 def brute_transform(mu_values, coeffs):
@@ -533,8 +539,86 @@ def test_derivative_matches_polyder_to_the_bit(rng, degree):
     f = random_series(rng, degree)
     got = derivative(f).coeffs
     want = npoly.polyder(f.coeffs)
-    # equal values of every real and imaginary part; NaN cannot occur
-    assert np.array_equal(got.view(float), want.view(float))
+    # every real and imaginary part to the bit: a series with no nonzero
+    # imaginary part (the degree-0 derivative) is stored as float64
+    assert np.array_equal(bits(got.real), bits(want.real))
+    assert np.array_equal(bits(got.imag), bits(want.imag))
+
+
+def test_series_without_imaginary_parts_are_stored_as_float64(catalog, rng):
+    mu = moments(catalog["lebesgue"], 16)
+    real = [PowerSeries([1, 2, 3]), PowerSeries([True]),
+            PowerSeries(np.array([1.0 - 0.0j, -2.0 + 0.0j])),
+            log_series(16), make_test_function(0.9, 2.0, 16),
+            derivative(log_series(16)), derivative(PowerSeries([1j])),
+            cesaro_like(mu, make_test_function(0.75, 2.0, 16)),
+            function_from_dict({"coeffs_re": [1.0, -2.0]}),
+            function_from_dict({"coeffs_re": [1.0], "coeffs_im": [0.0]})]
+    assert all(f.coeffs.dtype == np.float64 for f in real)
+    x = rng.standard_normal(9)
+    assert np.array_equal(bits(PowerSeries(x + 0j).coeffs), bits(x))
+    # the series holds a copy of its input in either dtype
+    for source in (x.copy(), x + 1j):
+        f = PowerSeries(source)
+        source[0] = 7.0
+        assert f.coeffs[0] == x[0] + (source.dtype == complex) * 1j
+    # any nonzero imaginary part, the smallest subnormal included, keeps
+    # complex128 and every part
+    for im in (1.0, -1e-300, 5e-324):
+        coeffs = x + 0j
+        coeffs[4] += 1j * im
+        f = PowerSeries(coeffs)
+        assert f.coeffs.dtype == np.complex128
+        assert np.array_equal(bits(f.coeffs.view(float)),
+                              bits(coeffs.view(float)))
+    spec = {"coeffs_re": [1.0, 2.0], "coeffs_im": [0.0, 1e-300]}
+    assert function_from_dict(spec).coeffs.dtype == np.complex128
+    assert random_series(rng, 3).coeffs.dtype == np.complex128
+    with pytest.raises(FunctionSpecError, match="finite"):
+        PowerSeries([1.0, complex(0.0, math.nan)])
+
+
+@st.composite
+def _real_series(draw):
+    """Real coefficients of degree <= 600, signed magnitudes over
+    1e-20..1e20, some zero; a point |z| <= 0.95 and four radii in [0, 1],
+    0 and 1 among them."""
+    n = draw(st.integers(0, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = rng.choice([-1.0, 1.0], n + 1) * 10.0 ** rng.uniform(-20.0, 20.0,
+                                                             n + 1)
+    c[rng.random(n + 1) < draw(st.floats(0.0, 0.5))] = 0.0
+    z = 0.95 * rng.random() * np.exp(2j * np.pi * rng.random())
+    return c, z, np.array([0.0, rng.random(), rng.random(), 1.0])
+
+
+def _stored_as(coeffs):
+    """A series holding ``coeffs`` in their own dtype, complex128 for a
+    real series too, which the constructor stores as float64."""
+    f = object.__new__(PowerSeries)
+    object.__setattr__(f, "coeffs", coeffs)
+    return f
+
+
+@settings(max_examples=40, deadline=None)
+@given(_real_series())
+def test_float64_and_complex128_copies_give_the_same_bits(case):
+    c, z, radii = case
+    wide = c.astype(complex)
+    f = PowerSeries(wide)
+    assert f.coeffs.dtype == np.float64
+    assert np.array_equal(bits(f.coeffs), bits(c))
+    pairs = [(_horner_terms(c, abs(z)), _horner_terms(wide, abs(z))),
+             (_ray_terms((c,), z), _ray_terms((wide,), z)),
+             (_mean_squares(c, radii), _mean_squares(wide, radii)),
+             (partial_sums(f), partial_sums(_stored_as(wide)))]
+    # an odd m that folds, one that pads
+    pairs += [(_half_circle(c, radii, m), _half_circle(wide, radii, m))
+              for m in (7, 1024)]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.array_equal(bits(got.real), bits(want.real))
+        assert np.array_equal(bits(got.imag), bits(want.imag))
 
 
 @settings(max_examples=30, deadline=None)
