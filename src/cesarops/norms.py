@@ -27,9 +27,9 @@ doubles; exactly on the real axis) and its increments measure how well
 the sup has converged.
 
 The Besov norm has a closed form at ``p = 2``.  Otherwise its radial
-integral is singular at ``r = 1`` when ``p < 2``; the segment ``r > 1/2``
-is integrated in a power-law variable that absorbs the singular factor
-exactly (see :func:`besov_norm`).
+integral is singular at ``r = 1`` when ``p < 2``; the whole integral is
+taken in one power-law variable that absorbs the singular factor exactly
+on ``0 <= r <= 1`` (see :func:`_besov_quadrature`).
 """
 
 from __future__ import annotations
@@ -290,8 +290,9 @@ def besov_norm(f: PowerSeries, p: float) -> NormEstimate:
     """Besov norm for ``1 < p < inf`` (normalized area measure).
 
     At ``p = 2`` it is the closed form ``|a_0| + (sum n |a_n|**2)**(1/2)``
-    (Parseval).  Otherwise it is :func:`_besov_quadrature` to the
-    tolerance ``1e-10 * max(1, S)``, ``S`` the radial integral.
+    (Parseval).  Otherwise it is :func:`_besov_quadrature`: one adaptive
+    radial integral in a power-law variable, to the tolerance
+    ``1e-10 * max(1, S)``, ``S`` the radial integral.
     """
     if not 1.0 < p < math.inf:
         raise ValueError(
@@ -302,23 +303,26 @@ def besov_norm(f: PowerSeries, p: float) -> NormEstimate:
         semi = float(np.sum(n * np.abs(f.coeffs) ** 2)) ** 0.5
         grid = "closed form (Parseval), p = 2"
     else:
-        semi = _besov_quadrature(f, p, 1e-10)
+        semi = _besov_quadrature(f, p)
         grid = "adaptive radial quadrature, split at r = 1/2"
     value = abs(complex(f.coeffs[0])) + semi
     return NormEstimate(value, (value,), True, grid)
 
 
-def _besov_quadrature(f: PowerSeries, p: float, rel_tol: float) -> float:
+def _besov_quadrature(f: PowerSeries, p: float) -> float:
     """Besov seminorm by adaptive radial quadrature.
 
-    The radial integral ``S`` is split at ``r = 1/2``; the outer part runs
-    in the variable ``v = (2(1-r))**((p-1)/3)``, which turns the endpoint
-    factor ``(1-r^2)**(p-2)`` into a smooth ``v**2``, so the panel
-    subdivision converges at every ``p > 1``.
+    With ``x = 1 - r`` the radial integral is ``S = integral_0^1 x**(p-2)
+    H(x) dx``, ``H(x) = 2 (1-x) (2-x)**(p-2) M_p(1-x, f')**p`` smooth.  In
+    ``v = x**((p-1)/3)``, ``x**(p-2) dx = (3 / (p-1)) v**2 dv`` on all of
+    [0, 1], so the integrand is twice differentiable at ``v = 0`` for every
+    ``p > 1``, also where ``x**(p-2)`` is singular (``p < 2``).
 
-    ``S`` is computed to the tolerance ``rel_tol * max(1, S)``, with ``S``
-    estimated by one 16-node Gauss pass over each part: an absolute
-    tolerance alone lies below the rounding floor of a large integral.
+    ``S`` is computed to the tolerance ``1e-10 * max(1, S)``, with ``S``
+    estimated by a 16-node Gauss pass over the panels on each side of
+    ``r = 1/2``: an absolute tolerance alone lies below the rounding floor
+    of a large integral, and one panel on [0, 1] would put its node nearest
+    ``r = 1`` twice as far away, which at large ``p`` misses most of ``S``.
     """
     df = derivative(f)
     known = {}  # the Gauss pass below is each root's coarse panel
@@ -328,29 +332,20 @@ def _besov_quadrature(f: PowerSeries, p: float, rel_tol: float) -> float:
         known.update(zip(new, _power_means(df.coeffs, np.array(new), p)))
         return np.array([known[r] for r in rs])
 
-    def inner(r):
-        return 2.0 * r * (1.0 - r * r) ** (p - 2.0) * means(r)
-
-    # Outer part, r in [1/2, 1].  Writing x = 1 - r, the integrand is
-    # x**(p-2) times the slowly varying H(x) = 2 (1-x) (2-x)**(p-2) G(1-x),
-    # so it is endpoint-singular whenever p < 2.  The substitution
-    # v = (2x)**((p-1)/3) turns the power-law factor into a plain v**2,
-    # x**(p-2) dx = (3 / (2**(p-1) (p-1))) v**2 dv,
-    # leaving a twice-differentiable integrand at v = 0 for every p > 1.
-    def outer(v):
+    def radial(v):
         with np.errstate(under="ignore"):
-            x = 0.5 * v ** (3.0 / (p - 1.0))
+            x = v ** (3.0 / (p - 1.0))
         r = 1.0 - x
-        return v * v * 2.0 * r * (2.0 - x) ** (p - 2.0) * means(r)
+        return (3.0 / (p - 1.0) * v * v * 2.0 * r * (2.0 - x) ** (p - 2.0)
+                * means(r))
 
-    scale = 2.0 ** (p - 1.0) * (p - 1.0) / 3.0
+    split = 2.0 ** (-(p - 1.0) / 3.0)  # r = 1/2
     xs, ws = gauss_rule(16)
-    size = 0.5 * ws @ inner(0.5 * xs) + ws @ outer(xs) / scale
-    abs_tol = rel_tol * max(1.0, size)
-    part1 = integrate_adaptive(inner, 0.0, 0.5, abs_tol=abs_tol / 2.0)
-    part2 = integrate_adaptive(outer, 0.0, 1.0,
-                               abs_tol=abs_tol / 2.0 * scale)
-    return (part1.value.real + part2.value.real / scale) ** (1.0 / p)
+    size = (split * ws @ radial(split * xs)
+            + (1.0 - split) * ws @ radial(split + (1.0 - split) * xs))
+    semi = integrate_adaptive(radial, 0.0, 1.0, breakpoints=(split,),
+                              abs_tol=1e-10 * max(1.0, size))
+    return semi.value.real ** (1.0 / p)
 
 
 def growth_ratio(f: PowerSeries, p: float) -> float:

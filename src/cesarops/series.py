@@ -137,7 +137,11 @@ def evaluate(f: PowerSeries, z):
 def derivative(f: PowerSeries) -> PowerSeries:
     if f.degree == 0:
         return PowerSeries(np.zeros(1))
-    return PowerSeries(f.coeffs[1:] * np.arange(1, f.coeffs.size))
+    with np.errstate(over="ignore"):
+        coeffs = f.coeffs[1:] * np.arange(1, f.coeffs.size)
+    if not np.isfinite(coeffs).all():
+        raise ValueError("the derivative overflows the float range")
+    return PowerSeries(coeffs)
 
 
 def partial_sums(f: PowerSeries) -> np.ndarray:

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from cesarops import measure as measure_module
 from cesarops.measure import moments
-from cesarops.norms import _half_circle, _mean_squares
+from cesarops.norms import (_half_circle, _mean_squares, besov_norm,
+                            bloch_norm, mean_lipschitz_norm)
 from cesarops.quadrature import integrate_adaptive
 from cesarops.series import (
     MAX_ABS_Z,
@@ -198,6 +199,21 @@ def test_infinite_points_are_refused_before_any_arithmetic(catalog):
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="finite"):
                     route(catalog["lebesgue"], f, z)
+
+
+def test_a_derivative_that_overflows_is_refused_with_its_reason(catalog):
+    # f is finite but f' = 2e308 z is not: numpy's overflow warning used to
+    # come first, then the refusal blamed f's own coefficients
+    f = PowerSeries([0.0, 0.0, 1e308])
+    for call in (lambda: derivative(f), lambda: bloch_norm(f),
+                 lambda: besov_norm(f, 3.0),
+                 lambda: mean_lipschitz_norm(f, 2.0, 0.5),
+                 lambda: cesaro_like_derivative_eval(catalog["lebesgue"], f,
+                                                     0.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="derivative overflows"):
+                call()
 
 
 def test_horner_cut_survives_huge_coefficients():
