@@ -294,6 +294,7 @@ def carleson_integral(m: RadialMeasure, a: complex, params: CarlesonParams,
     and ``D`` is ``1 - |a|x`` (variant ``"ii"``, depends on ``|a|``
     only), ``|1 - ax|`` (variant ``"iii"``), or the complex ``1 - ax``
     (variant ``"iv"``, where the modulus is taken after integrating).
+    Each component's part of ``I`` is taken to the quadrature's 1e-10.
     The result is ``inf`` when the integral diverges at the ``x = 1``
     endpoint, which happens exactly when some density component has
     power exponent at most ``r_exp``; a divergence that is logarithmic
@@ -308,16 +309,9 @@ def carleson_integral(m: RadialMeasure, a: complex, params: CarlesonParams,
     kernel = _variant_kernel(variant, a, rho, theta)
 
     bound_edge = (1.0 - rho) ** -theta   # bounds the kernel on [0, 1)
-    tols = []
-    for comp in m.components:
-        size = comp.integral_bound(r_exp, bound_edge)
-        if size == math.inf:
-            return math.inf
-        tols.append(1e-10 * max(1.0, size))
-
     prefactor = (1.0 - rho) ** params.t_exp * _log_factor(rho) ** params.alpha
-    total = sum(comp.integrate(kernel, tol, r_exp=r_exp, bound=bound_edge)
-                for comp, tol in zip(m.components, tols))
+    total = sum(comp.integrate(kernel, 1e-10, r_exp=r_exp, bound=bound_edge)
+                for comp in m.components)
     if variant == "iv":
         return prefactor * abs(total)
     return prefactor * float(total.real)

@@ -17,18 +17,18 @@ a sum or a comprehension over the components:
 * ``moments(ns, abs_tol)`` -- the moments ``integral of t**n`` for the
   orders ``ns``: closed forms for atoms and tables, one shared panel grid
   for a power-log density;
-* ``integrate(g, abs_tol, r_exp=0, bound=1)`` -- the integral of
+* ``integrate(g, tol, r_exp=0, bound=1)`` -- the integral of
   ``g(t) * (1 - t)**(-r_exp)`` against the component, for a vectorized
-  kernel ``g``: an atom in closed form, a table by quadrature between its
-  grid nodes, a power-log density after the substitution
+  kernel ``g``, to the quadrature's ``tol`` (absolute up to magnitude 1,
+  relative above it): an atom in closed form, a table by quadrature
+  between its grid nodes, a power-log density after the substitution
   ``t = 1 - exp(-u)``, which turns the boundary concentration at
   ``t -> 1`` into plain exponential decay at the rate ``gamma - r_exp``,
   on the dyadic u-panels ``[0, 1], [1, 2], [2, 4], ...`` from the start;
   the u-cutoff leaves out less than 1e-14 of the weight times ``bound``,
   which should bound ``|g|``, and a component that would need a cutoff
-  beyond ``u = 400`` raises ``QuadratureError`` instead of being truncated;
-* ``integral_bound(r_exp, bound)`` -- an upper bound of that integral for
-  ``|g| <= bound`` (infinite when it diverges), to scale tolerances by.
+  beyond ``u = 400`` raises ``QuadratureError`` instead of being
+  truncated, one whose integral diverges at ``t = 1`` gives ``inf``.
 
 A component's JSON spec is its ``kind`` plus exactly its dataclass fields.
 
@@ -125,8 +125,6 @@ class PowerLogDensity:
     def _cutoff(self, decay, prefactor):
         """Upper u-cutoff with tail mass prefactor*exp(-decay*U)/decay below
         _MASS_CUT; a cutoff beyond _MAX_CUT raises QuadratureError."""
-        if decay <= 0.0:
-            raise QuadratureError("integrand does not decay (effective exponent <= 0)")
         scale = max(prefactor * max(self.c, 1.0) / decay, 1e-30)
         u = max(math.log(scale / _MASS_CUT) / decay, 4.0)
         if u > _MAX_CUT:
@@ -139,10 +137,10 @@ class PowerLogDensity:
     def _weight(self, u, decay):
         return self.c * np.exp(-decay * u) * (1.0 + u) ** -self.beta
 
-    def integral_bound(self, r_exp=0.0, bound=1.0):
-        """``c * bound / (gamma - r_exp)``; infinite when the weighted
-        integral diverges, and QuadratureError when it converges only
-        through the logarithmic factor."""
+    def integrate(self, g, tol, *, r_exp=0.0, bound=1.0):
+        """``inf`` when the weighted integral diverges at ``t = 1``, and
+        QuadratureError when it converges only through the logarithmic
+        factor."""
         if self.c == 0.0:
             return 0.0
         decay = self.gamma - r_exp
@@ -153,12 +151,6 @@ class PowerLogDensity:
                 "integral converges only through the logarithmic "
                 "factor (power exponents cancel); too slow to "
                 "evaluate reliably")
-        return self.c * bound / decay
-
-    def integrate(self, g, abs_tol, *, r_exp=0.0, bound=1.0):
-        if self.c == 0.0:
-            return 0.0
-        decay = self.gamma - r_exp
         cut = self._cutoff(decay, bound)
 
         def integrand(u):
@@ -167,7 +159,7 @@ class PowerLogDensity:
         # the dyadic panels u = 1, 2, 4, ... below the cut, which bisection
         # would otherwise find toward u = 0 one level at a time
         dyadic = [2.0 ** k for k in range(int(cut).bit_length())]
-        return integrate_adaptive(integrand, 0.0, cut, abs_tol=abs_tol,
+        return integrate_adaptive(integrand, 0.0, cut, tol=tol,
                                   breakpoints=dyadic).value
 
     def moments(self, ns, abs_tol):
@@ -225,10 +217,7 @@ class PointMass:
     def tail(self, t):
         return self.w if self.t0 >= t else 0.0
 
-    def integral_bound(self, r_exp=0.0, bound=1.0):
-        return self.w * (1.0 - self.t0) ** -r_exp * bound
-
-    def integrate(self, g, abs_tol, *, r_exp=0.0, bound=1.0):
+    def integrate(self, g, tol, *, r_exp=0.0, bound=1.0):
         if self.w == 0.0:
             return 0.0
         return self.w * (1.0 - self.t0) ** -r_exp * g(np.array([self.t0]))[0]
@@ -299,10 +288,7 @@ class TabulatedDensity:
         parts[width <= 0.0] = 0.0
         return float(parts.sum())
 
-    def integral_bound(self, r_exp=0.0, bound=1.0):
-        return max(self.v) * (1.0 - self.x[-1]) ** -r_exp * bound
-
-    def integrate(self, g, abs_tol, *, r_exp=0.0, bound=1.0):
+    def integrate(self, g, tol, *, r_exp=0.0, bound=1.0):
         xs = np.asarray(self.x)
         vs = np.asarray(self.v)
 
@@ -312,7 +298,7 @@ class TabulatedDensity:
                 val = val * (1.0 - t) ** -r_exp
             return val * np.interp(t, xs, vs, right=0.0)
 
-        return integrate_adaptive(integrand, 0.0, self.x[-1], abs_tol=abs_tol,
+        return integrate_adaptive(integrand, 0.0, self.x[-1], tol=tol,
                                   breakpoints=self.x).value
 
     def moments(self, ns, abs_tol):
@@ -401,7 +387,8 @@ def tail(m: RadialMeasure, t: float) -> float:
 
 
 def moment(m: RadialMeasure, n: int, *, abs_tol: float = DEFAULT_TOL) -> float:
-    """n-th moment, integral of t**n dm(t), to absolute tolerance abs_tol."""
+    """n-th moment, integral of t**n dm(t), to abs_tol shared among the
+    components, each absolute up to magnitude 1 and relative above it."""
     if n < 0:
         raise ValueError("moment order must be >= 0")
     if not 0.0 < abs_tol < math.inf:
@@ -433,8 +420,9 @@ def moments(m: RadialMeasure, n_max: int, *,
 def moment_via_tail(m: RadialMeasure, n: int) -> float:
     """n-th moment through the distribution-function identity (n >= 1).
 
-    Integrates ``n * x**(n-1) * tail(m, x)`` to absolute tolerance 1e-11
-    with closed-form tails, an integration path independent of :func:`moment`.
+    Integrates ``n * x**(n-1) * tail(m, x)`` to 1e-11 shared among the
+    components (absolute up to magnitude 1, relative above it) with
+    closed-form tails, an integration path independent of :func:`moment`.
     """
     if n < 1:
         raise ValueError("moment_via_tail requires n >= 1")
@@ -449,7 +437,7 @@ def moment_via_tail(m: RadialMeasure, n: int) -> float:
                 return n * _power(-np.expm1(-u), n - 1) * tails * np.exp(-u)
 
             out += float(integrate_adaptive(integrand, 0.0, cut,
-                                            abs_tol=share).value.real)
+                                            tol=share).value.real)
         elif isinstance(comp, PointMass):
             if comp.w == 0.0 or comp.t0 == 0.0:
                 continue
@@ -459,7 +447,7 @@ def moment_via_tail(m: RadialMeasure, n: int) -> float:
                 return n * comp.w * _power(-np.expm1(-u), n - 1) * np.exp(-u)
 
             out += float(integrate_adaptive(integrand, 0.0, u0,
-                                            abs_tol=share).value.real)
+                                            tol=share).value.real)
         else:
             x_hi = comp.x[-1]
 
@@ -468,7 +456,7 @@ def moment_via_tail(m: RadialMeasure, n: int) -> float:
                 return n * _power(x, n - 1) * tails
 
             out += float(integrate_adaptive(integrand, 0.0, x_hi,
-                                            abs_tol=share,
+                                            tol=share,
                                             breakpoints=comp.x).value.real)
     return out
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from cesarops.quadrature import gauss_rule, integrate_adaptive
+from cesarops.quadrature import integrate_adaptive
 from cesarops.series import _LOG_TINY, PowerSeries, derivative, evaluate
 
 __all__ = [
@@ -195,15 +195,18 @@ def _trapezoid_rules(powers, m):
 
 def _angular_mean(coeffs, r, p, peak):
     """Mean of |f|**p on |z| = r, adaptive in angle, to 1e-11 * max |f|**p;
-    for real coefficients over ``0 .. pi`` alone, whose mirror repeats it."""
+    for real coefficients over ``0 .. pi`` alone, whose mirror repeats it.
+    It integrates ``|f|**p / (peak * span)``, whose integral is about 1
+    at most, so the quadrature's tolerance stays absolute."""
+    span = _TWO_PI if coeffs.imag.any() else math.pi
+    peak = max(peak, 1e-300)
+
     def integrand(theta):
         vals = npoly.polyval(r * np.exp(1j * theta), coeffs)
-        return np.abs(vals) ** p
+        return np.abs(vals) ** p / (peak * span)
 
-    span = _TWO_PI if coeffs.imag.any() else math.pi
-    tol = max(peak, 1e-300) * 1e-11 * span
-    total = integrate_adaptive(integrand, 0.0, span, abs_tol=tol).value.real
-    return max(total, 0.0) / span
+    total = integrate_adaptive(integrand, 0.0, span, tol=1e-11).value.real
+    return max(total, 0.0) * peak
 
 
 def _dyadic_radii(level: int):
@@ -291,8 +294,8 @@ def besov_norm(f: PowerSeries, p: float) -> NormEstimate:
 
     At ``p = 2`` it is the closed form ``|a_0| + (sum n |a_n|**2)**(1/2)``
     (Parseval).  Otherwise it is :func:`_besov_quadrature`: one adaptive
-    radial integral in a power-law variable, to the tolerance
-    ``1e-10 * max(1, S)``, ``S`` the radial integral.
+    radial integral ``S`` in a power-law variable, to the quadrature's
+    tolerance ``1e-10``, absolute up to ``S = 1`` and relative above it.
     """
     if not 1.0 < p < math.inf:
         raise ValueError(
@@ -318,33 +321,23 @@ def _besov_quadrature(f: PowerSeries, p: float) -> float:
     [0, 1], so the integrand is twice differentiable at ``v = 0`` for every
     ``p > 1``, also where ``x**(p-2)`` is singular (``p < 2``).
 
-    ``S`` is computed to the tolerance ``1e-10 * max(1, S)``, with ``S``
-    estimated by a 16-node Gauss pass over the panels on each side of
-    ``r = 1/2``: an absolute tolerance alone lies below the rounding floor
-    of a large integral, and one panel on [0, 1] would put its node nearest
-    ``r = 1`` twice as far away, which at large ``p`` misses most of ``S``.
+    The quadrature's ``1e-10`` is relative to ``S`` once ``S > 1``, as read
+    from the root panels on each side of ``r = 1/2``: one panel on [0, 1]
+    would put its node nearest ``r = 1`` twice as far away, which at large
+    ``p`` misses most of ``S``.
     """
     df = derivative(f)
-    known = {}  # the Gauss pass below is each root's coarse panel
 
-    def means(rs):  # of |f'|**p: the integrand takes no p-th root
-        new = [r for r in dict.fromkeys(rs) if r not in known]
-        known.update(zip(new, _power_means(df.coeffs, np.array(new), p)))
-        return np.array([known[r] for r in rs])
-
-    def radial(v):
+    def radial(v):  # of the means of |f'|**p: no p-th root is taken
         with np.errstate(under="ignore"):
             x = v ** (3.0 / (p - 1.0))
         r = 1.0 - x
         return (3.0 / (p - 1.0) * v * v * 2.0 * r * (2.0 - x) ** (p - 2.0)
-                * means(r))
+                * _power_means(df.coeffs, r, p))
 
     split = 2.0 ** (-(p - 1.0) / 3.0)  # r = 1/2
-    xs, ws = gauss_rule(16)
-    size = (split * ws @ radial(split * xs)
-            + (1.0 - split) * ws @ radial(split + (1.0 - split) * xs))
     semi = integrate_adaptive(radial, 0.0, 1.0, breakpoints=(split,),
-                              abs_tol=1e-10 * max(1.0, size))
+                              tol=1e-10)
     return semi.value.real ** (1.0 / p)
 
 

@@ -1,12 +1,15 @@
 """Adaptive Gauss-Legendre panel quadrature.
 
-Panels are bisected until a coarse/fine comparison meets the requested
-absolute tolerance; the per-panel budget is split proportionally to panel
-length so the accumulated estimate stays below the requested bound.  The
-tree is walked level by level, one integrand call per level of up to 4096
-nodes, and folded back up in tree order, so results are reproducible bit
-for bit.  Integrands must be elementwise: given an array of abscissae, they
-return an array of the same shape (real or complex).
+Panels are bisected until a coarse/fine comparison meets the tolerance in
+force, ``tol * max(1, |I0|)`` with ``I0`` the sum of the root segments'
+coarse panels: absolute up to magnitude 1 and relative above it, at no
+extra integrand call (Gander and Gautschi, BIT 40, 2000).  The per-panel
+budget is split proportionally to panel length so the accumulated
+estimate stays below the tolerance in force.  The tree is walked level by
+level, one integrand call per level of up to 4096 nodes, and folded back
+up in tree order, so results are reproducible bit for bit.  Integrands
+must be elementwise: given an array of abscissae, they return an array of
+the same shape (real or complex).
 """
 
 from __future__ import annotations
@@ -53,9 +56,9 @@ def _halves(lo, hi):
     return (lo, mid), (mid, hi)
 
 
-def integrate_adaptive(f, a, b, *, abs_tol=1e-12, nodes=16, max_depth=44,
+def integrate_adaptive(f, a, b, *, tol=1e-12, nodes=16, max_depth=44,
                        breakpoints=()):
-    """Integrate ``f`` over [a, b] to absolute tolerance ``abs_tol``.
+    """Integrate ``f`` over [a, b] to the tolerance in force (see module).
 
     Parameters
     ----------
@@ -63,8 +66,8 @@ def integrate_adaptive(f, a, b, *, abs_tol=1e-12, nodes=16, max_depth=44,
         Elementwise vectorized integrand; may return complex values.
     a, b : float
         Integration limits, a <= b.
-    abs_tol : float
-        Requested absolute tolerance for the whole interval.
+    tol : float
+        Requested tolerance, absolute up to magnitude 1, relative above.
     nodes : int
         Gauss-Legendre points per panel.
     max_depth : int
@@ -94,15 +97,13 @@ def integrate_adaptive(f, a, b, *, abs_tol=1e-12, nodes=16, max_depth=44,
         return [(hi - lo) * np.dot(ws, row)
                 for (lo, hi), row in zip(panels, np.reshape(y, (-1, nodes)))]
 
-    def refine(level, coarse, depth):
+    def refine(level, coarse, depth, values=None):
         """(value, error) of each node (lo, hi, tol) of ``level``, a run of
-        one depth in tree order, given the coarse value of each node."""
-        halves = [h for lo, hi, _ in level for h in _halves(lo, hi)]
-        if coarse is None:  # root segments: their coarse panels ride along
-            values = panel_values([(lo, hi) for lo, hi, _ in level] + halves)
-            coarse, values = values[:len(level)], values[len(level):]
-        else:
-            values = panel_values(halves)
+        one depth in tree order, given the values of its coarse panels
+        and, if taken, of their halves."""
+        if values is None:
+            values = panel_values([h for lo, hi, _ in level
+                                   for h in _halves(lo, hi)])
         leaves, children, child_coarse = [], [], []
         for (lo, hi, tol), c, lval, rval in zip(level, coarse, values[0::2],
                                                 values[1::2]):
@@ -129,17 +130,21 @@ def integrate_adaptive(f, a, b, *, abs_tol=1e-12, nodes=16, max_depth=44,
                 tuple(l + r for l, r in zip(next(below), next(below)))
                 for leaf in leaves]
 
-    roots = [(lo, hi, abs_tol * (hi - lo) / length)
-             for lo, hi in zip(cuts[:-1], cuts[1:])]
+    segs = list(zip(cuts[:-1], cuts[1:]))
+    # the root level: each segment's coarse panel and its halves, one call
+    values = panel_values(segs + [h for seg in segs for h in _halves(*seg)])
+    coarse, values = values[:len(segs)], values[len(segs):]
+    tol = tol * max(1.0, abs(sum(coarse)))
+    roots = [(lo, hi, tol * (hi - lo) / length) for lo, hi in segs]
     value = 0.0
     err_total = 0.0
-    for seg_val, seg_err in refine(roots, None, 0):
+    for seg_val, seg_err in refine(roots, coarse, 0, values):
         value = value + seg_val
         err_total += seg_err
 
-    if not np.isfinite(err_total) or err_total > 8.0 * abs_tol:
+    if not np.isfinite(err_total) or err_total > 8.0 * tol:
         raise QuadratureError(
             "quadrature did not converge: achieved %.3e, requested %.3e"
-            % (err_total, abs_tol),
+            % (err_total, tol),
             value=value, error=err_total)
     return QuadResult(value, err_total)

@@ -227,8 +227,8 @@ def _ray_values(terms, t):
 
 def _integral_eval_point(m, kernel):
     """Shared engine for the integral representations: ``kernel`` (a
-    vectorized function of t) integrated against ``m`` to absolute
-    tolerance 1e-12, each component to an equal share."""
+    vectorized function of t) integrated against ``m`` to the tolerance
+    1e-12, each component to an equal share."""
     share = 1e-12 / len(m.components)
     return complex(sum(comp.integrate(kernel, share) for comp in m.components))
 

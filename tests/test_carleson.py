@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cesarops import measure
 from cesarops.carleson import (
     LABEL_DIVERGING,
     LABEL_FINITE,
@@ -40,7 +41,7 @@ from cesarops.measure import (
     measure_to_dict,
     moments,
 )
-from cesarops.quadrature import QuadratureError
+from cesarops.quadrature import QuadratureError, gauss_rule, integrate_adaptive
 
 
 # -------------------------------------------------------------- trend label
@@ -245,6 +246,34 @@ def test_integral_borderline_convergence_is_refused():
     params = CarlesonParams(1.0, 0.0, 1.0, 0.5)
     with pytest.raises(QuadratureError):
         carleson_integral(slow, 0.5, params)
+
+
+def test_deep_probe_tolerance_follows_the_integral(monkeypatch, catalog):
+    # power_two at |a| = 1 - 2**-18 and (s, alpha, t_exp, r_exp) =
+    # (2, 0, 1, 0) is (1-rho) int (1-x) (1-rho x)**-3 dx = 1/2 exactly.
+    # Its tolerance was once 1e-10 times the mass times the kernel's
+    # supremum, up to 2**36 times the integral, which admitted any value.
+    # The tolerance in force is 1e-10 times the root estimate, which the
+    # spy takes again from the coarse root panels.
+    xs, ws = gauss_rule(16)
+    in_force = []
+
+    def spy(f, a, b, *, tol, breakpoints=(), **kw):
+        cuts = [a] + sorted(x for x in set(breakpoints) if a < x < b) + [b]
+        root = sum((hi - lo) * np.dot(ws, f(lo + (hi - lo) * xs))
+                   for lo, hi in zip(cuts[:-1], cuts[1:]))
+        res = integrate_adaptive(f, a, b, tol=tol, breakpoints=breakpoints,
+                                 **kw)
+        in_force.append((tol * max(1.0, abs(root)), res.value))
+        return res
+
+    monkeypatch.setattr(measure, "integrate_adaptive", spy)
+    value = carleson_integral(catalog["power_two"], 1.0 - 2.0 ** -18,
+                              CarlesonParams(2.0, 0.0, 1.0, 0.0))
+    (tol, integral), = in_force
+    # up to the root panels' own error, here 5e-9 relative
+    assert tol <= 1e-10 * max(1.0, abs(integral)) * (1.0 + 1e-6)
+    assert abs(value - 0.5) <= 1e-10
 
 
 def test_integral_profile_consensus_and_shape(catalog):

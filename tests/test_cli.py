@@ -90,6 +90,21 @@ def test_classify_reports_the_three_way_verdict(capsys):
     assert data["s"] == 1.0 and data["alpha"] == 0.0
 
 
+def test_classify_integral_of_a_heavy_atom_does_not_overflow(capsys,
+                                                             tmp_path):
+    # The Carleson tolerance was once scaled by the mass times the
+    # kernel's supremum, which overflows to inf at w = 1e300; the integral
+    # criterion then read "diverging" where it reads "vanishing" at w = 1.
+    for w in (1.0, 1e300):
+        spec = tmp_path / "atom.json"
+        spec.write_text(json.dumps(
+            {"components": [{"kind": "point", "w": w, "t0": 0.5}]}))
+        code, out, _ = run(capsys, "classify", "--measure", str(spec),
+                           "--s", "1", "--alpha", "1")
+        assert code == 0
+        assert json.loads(out)["per_criterion"]["integral"] == "vanishing"
+
+
 def test_classify_ladder_csv(capsys, tmp_path):
     target = tmp_path / "ladders.csv"
     code, out, _ = run(capsys, "classify", "--measure", "atom09",

@@ -342,16 +342,16 @@ def test_angular_mean_of_a_real_series_takes_the_half_circle(rng, p):
     peak = np.max(np.abs(npoly.polyval(
         r * np.exp(2j * np.pi * np.arange(4096) / 4096), coeffs))) ** p
 
-    def integrand(theta):
-        return np.abs(npoly.polyval(r * np.exp(1j * theta), coeffs)) ** p
+    def integrand(theta):  # against d theta / (2 pi): at most about 1
+        vals = np.abs(npoly.polyval(r * np.exp(1j * theta), coeffs)) ** p
+        return vals / (peak * 2.0 * math.pi)
 
-    full = integrate_adaptive(integrand, 0.0, 2.0 * math.pi,
-                              abs_tol=1e-11 * peak * 2.0 * math.pi)
+    full = integrate_adaptive(integrand, 0.0, 2.0 * math.pi, tol=1e-11)
     with mock.patch.object(norms, "integrate_adaptive",
                            wraps=norms.integrate_adaptive) as spy:
         got = norms._angular_mean(coeffs, r, p, peak)
     assert spy.call_args.args[1:] == (0.0, math.pi)
-    assert abs(got - full.value.real / (2.0 * math.pi)) <= 1e-11 * peak
+    assert abs(got - peak * full.value.real) <= 1e-11 * peak
     # a complex series keeps the whole circle
     with mock.patch.object(norms, "integrate_adaptive",
                            wraps=norms.integrate_adaptive) as spy:
@@ -559,36 +559,41 @@ def test_besov_norm_of_identity_is_one():
 
 
 def mpmath_besov(f, p):
-    """Besov norm by mpmath's tanh-sinh rule, which absorbs the
-    (1-r)^(p-2) endpoint singularity of the radial factor, over
-    Riemann-sum means of f' on 4096 angles."""
+    """Besov norm by mpmath's tanh-sinh rule over Riemann-sum means of f'
+    on 4096 angles.  With x = 1 - r the radial integral is taken in
+    v = x**((p-1)/3), where x**(p-2) dx = 3/(p-1) v**2 dv, so no factor
+    of the integrand is singular at v = 0 for any p > 1; the powers stay
+    in mpmath, so the nodes next to v = 0 do not underflow."""
     df = derivative(f)
+    p = mpmath.mpf(p)
+    k = 3 / (p - 1)
 
-    def radial(x):
-        # x = 1 - r; the x**(p-2) factor stays in mpmath so the
-        # tanh-sinh nodes next to x = 0 do not underflow to 0**(-1/2).
-        x = mpmath.mpf(x)
-        r = float(1.0 - x)
-        mean_p = brute_mean(df, r, p, m=4096) ** p
-        return x ** (p - 2.0) * float((2.0 - x) ** (p - 2.0)) * 2.0 * r * mean_p
+    def radial(v):
+        x = v ** k
+        r = float(1 - x)
+        mean_p = brute_mean(df, r, float(p), m=4096) ** float(p)
+        return k * v ** 2 * (2 - x) ** (p - 2) * 2 * r * mean_p
 
-    semi = float(mpmath.quad(radial, [0.0, 0.05, 0.5, 1.0])) ** (1.0 / p)
+    # v at x = 0.05 and 0.5, the breaks of the rule in x
+    breaks = [0] + [mpmath.mpf(x) ** (1 / k) for x in (0.05, 0.5)] + [1]
+    semi = float(mpmath.quad(radial, breaks)) ** (1.0 / float(p))
     return abs(complex(f.coeffs[0])) + semi
 
 
-@pytest.mark.parametrize("p", [1.5, 3.0, 10.0])
+@pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 10.0])
 def test_besov_norm_matches_mpmath_radial_integral(p):
     # f' = 2 + z is zero-free on every circle, so the angular mean is
-    # smooth and a uniform grid nails it.  (Below p = 1.2 the oracle's
-    # tanh-sinh rule misses mass next to r = 1.)
+    # smooth and a uniform grid nails it.  At p = 1.05 the norm is
+    # 35.5257526330741, which an oracle taken in x = 1 - r missed by 9%:
+    # its tanh-sinh rule did not resolve x**(p-2) next to r = 1.
     f = PowerSeries([0.3, 2.0, 0.25])
     est = besov_norm(f, p)
     assert est.value == pytest.approx(mpmath_besov(f, p), rel=1e-8)
 
 
 def test_besov_norm_of_a_complex_series_at_large_p():
-    # Without the panel split at r = 1/2 the size pass's node nearest
-    # r = 1 falls back from r = 0.913 to 0.826, it reads this integral
+    # Without the panel split at r = 1/2 the root panels' node nearest
+    # r = 1 falls back from r = 0.913 to 0.826, they read this integral
     # 125 times too small (3 times with the split), and the quadrature
     # chases a tolerance below its rounding floor for minutes.
     rng = np.random.default_rng(5)
@@ -602,11 +607,12 @@ def test_besov_norm_of_a_complex_series_at_large_p():
 @pytest.mark.parametrize("p, j, degree, radii", [
     (1.5, 1, 64, 96), (1.5, 2, 128, 96), (1.5, 3, 256, 96),
     (3.0, 1, 64, 96), (3.0, 2, 128, 96), (3.0, 3, 256, 160)])
-def test_besov_size_pass_is_the_quadratures_root_panels(p, j, degree, radii):
-    # The 16-node size pass runs on the coarse panels of the two root
-    # segments, so the quadrature finds its 32 radii in the memo: each
-    # radius reaches the means once, and a run that settles on the root
-    # level costs 32 + 64 radii.
+def test_besov_root_panels_are_the_size_and_take_each_radius_once(
+        p, j, degree, radii):
+    # The coarse panels of the two root segments, which scale the
+    # quadrature's tolerance, are sampled with their halves in one
+    # integrand call: each radius reaches the means once, and a run that
+    # settles on the root level costs 32 + 64 radii.
     f = make_test_function(1.0 - 2.0 ** -j, p, degree)
     means, seen = norms._power_means, []
 

@@ -369,7 +369,7 @@ class _KernelTap:
         self.components = (self,)
         self.kernels = []
 
-    def integrate(self, g, abs_tol):
+    def integrate(self, g, tol):
         self.kernels.append(g)
         return 0.0
 
