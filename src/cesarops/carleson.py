@@ -25,13 +25,15 @@ always kept alongside the label so borderline calls can be inspected
 rather than trusted.  Where several labels are combined -- the integral
 probes of :func:`classify_measure` and :func:`conclusive_agreement` --
 one consensus rule applies: the label that every conclusive label shares,
-or inconclusive when there is none or they disagree.
+or inconclusive when there is none or they disagree.  A
+:class:`CarlesonVerdict` reads its labels and estimates from its three
+criteria.  A ladder value beyond the float range reads ``inf``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,26 +125,29 @@ class CriterionResult:
 
 @dataclass(frozen=True)
 class CarlesonVerdict:
-    """Assembled three-way classification of one measure."""
+    """Three-way classification of one measure: its tail, moments and
+    integral criteria, in that order, which every label and estimate is
+    read from."""
 
     params: CarlesonParams
-    sup_estimate: float
-    limit_estimate: float
-    fitted_exponent: float
-    fitted_log_exponent: float
-    per_criterion: dict
-    agreement: bool
-    criteria: tuple = field(repr=False)
+    criteria: tuple
+
+    @property
+    def per_criterion(self) -> dict:
+        """Each criterion's label, by the criterion's name."""
+        return {crit.criterion: crit.label for crit in self.criteria}
 
     def to_dict(self) -> dict:
-        """The labels and estimates, as the CLI reports them."""
+        """The labels and estimates, as the CLI reports them: the sup and
+        limit of the tail ladder, the moments' fitted exponents."""
+        tail_res, moments_res, _ = self.criteria
         return {
-            "per_criterion": dict(self.per_criterion),
-            "agreement": self.agreement,
-            "sup_estimate": self.sup_estimate,
-            "limit_estimate": self.limit_estimate,
-            "fitted_exponent": self.fitted_exponent,
-            "fitted_log_exponent": self.fitted_log_exponent,
+            "per_criterion": self.per_criterion,
+            "agreement": len(set(self.per_criterion.values())) == 1,
+            "sup_estimate": max(tail_res.values),
+            "limit_estimate": tail_res.values[-1],
+            "fitted_exponent": moments_res.fitted_exponent,
+            "fitted_log_exponent": moments_res.fitted_log_exponent,
         }
 
 
@@ -159,12 +164,32 @@ def _log_factor(t: float) -> float:
     return 1.0 - math.log1p(-t)
 
 
+def _scaled(value, *powers) -> float:
+    """``value`` times each ``base**exponent`` of ``powers``, left to
+    right.  A product that overflows on the way is taken again in
+    logarithms, so only a product beyond the float range reads ``inf``;
+    a zero ``value`` stays zero."""
+    out = float(value)
+    if out == 0.0:
+        return 0.0
+    try:
+        for base, exponent in powers:
+            out *= base ** exponent
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        log = math.log(abs(value)) + sum(e * math.log(b) for b, e in powers)
+        with np.errstate(over="ignore"):
+            out = math.copysign(float(np.exp(log)), value)
+    return out
+
+
 def carleson_quotient(m: RadialMeasure, t: float,
                       params: CarlesonParams) -> float:
     """The defining quotient ``tail * log(e/(1-t))**alpha / (1-t)**s``."""
     if not 0.0 <= t < 1.0:
         raise ValueError("carleson_quotient requires t in [0, 1)")
-    return (tail(m, t) * _log_factor(t) ** params.alpha
+    return (_scaled(tail(m, t), (_log_factor(t), params.alpha))
             / (1.0 - t) ** params.s)
 
 
@@ -217,10 +242,9 @@ def trend_label(values) -> TrendFit:
 
 
 def classify_tail(m: RadialMeasure, params: CarlesonParams,
-                  ladder=None) -> CriterionResult:
-    """Label the tail quotient along a dyadic ladder (default depth 14)."""
-    ts = dyadic_t_ladder(14) if ladder is None else tuple(float(t)
-                                                          for t in ladder)
+                  depth: int = 14) -> CriterionResult:
+    """Label the tail quotient along ``dyadic_t_ladder(depth)``."""
+    ts = dyadic_t_ladder(depth)
     values = tuple(carleson_quotient(m, t, params) for t in ts)
     trend = trend_label(values)
     return CriterionResult("tail", trend.label, ts, values, trend)
@@ -260,10 +284,9 @@ def classify_moments(mu: MomentSequence,
         raise ValueError("classify_moments needs moments up to n >= 2**10")
     js = range(int(math.log2(mu.n_max)) + 1)
     ns = tuple(2 ** j for j in js)
-    values = tuple(
-        mu.values[n] * (n + 1.0) ** params.s
-        * math.log(n + 1.0) ** params.alpha
-        for n in ns)
+    values = tuple(_scaled(mu.values[n], (n + 1.0, params.s),
+                           (math.log(n + 1.0), params.alpha))
+                   for n in ns)
     trend = trend_label(values)
     exponent, log_exponent, _ = fit_moment_decay(mu)
     return CriterionResult("moments", trend.label, ns, values, trend,
@@ -297,8 +320,10 @@ def carleson_integral(m: RadialMeasure, a: complex, params: CarlesonParams,
     Each component's part of ``I`` is taken to the quadrature's 1e-10.
     The result is ``inf`` when the integral diverges at the ``x = 1``
     endpoint, which happens exactly when some density component has
-    power exponent at most ``r_exp``; a divergence that is logarithmic
-    in nature but too slow to quantify raises ``QuadratureError``.
+    power exponent at most ``r_exp``, even where the prefactor underflows
+    to 0; a divergence that is logarithmic in nature but too slow to
+    quantify raises ``QuadratureError``, and so does a convergent
+    power-log part whose kernel bound ``(1-|a|)**-theta`` overflows.
     """
     a = complex(a)
     rho = abs(a)
@@ -308,10 +333,13 @@ def carleson_integral(m: RadialMeasure, a: complex, params: CarlesonParams,
     r_exp = params.r_exp
     kernel = _variant_kernel(variant, a, rho, theta)
 
-    bound_edge = (1.0 - rho) ** -theta   # bounds the kernel on [0, 1)
-    prefactor = (1.0 - rho) ** params.t_exp * _log_factor(rho) ** params.alpha
+    bound_edge = _scaled(1.0, (1.0 - rho, -theta))   # bounds the kernel
+    prefactor = _scaled(1.0, (1.0 - rho, params.t_exp),
+                        (_log_factor(rho), params.alpha))
     total = sum(comp.integrate(kernel, 1e-10, r_exp=r_exp, bound=bound_edge)
                 for comp in m.components)
+    if math.isinf(abs(total)):
+        return math.inf
     if variant == "iv":
         return prefactor * abs(total)
     return prefactor * float(total.real)
@@ -366,7 +394,7 @@ def classify_measure(m: RadialMeasure, params: CarlesonParams, *,
     ``params.r_exp`` are not read.  The moment ladder runs to ``n_max``;
     a precomputed ``mu`` is cut there, and a shorter one raises.
     """
-    tail_res = classify_tail(m, params, dyadic_t_ladder(tail_depth))
+    tail_res = classify_tail(m, params, tail_depth)
     if mu is None:
         mu = moments(m, n_max)
     if mu.n_max < n_max:
@@ -390,22 +418,7 @@ def classify_measure(m: RadialMeasure, params: CarlesonParams, *,
         subresults=tuple(probe_results),
         note="; ".join(r.note for r in probe_results if r.note))
 
-    per_criterion = {
-        "tail": tail_res.label,
-        "moments": moments_res.label,
-        "integral": integral_res.label,
-    }
-    agreement = len(set(per_criterion.values())) == 1
-    return CarlesonVerdict(
-        params=params,
-        sup_estimate=max(tail_res.values),
-        limit_estimate=tail_res.values[-1],
-        fitted_exponent=moments_res.fitted_exponent,
-        fitted_log_exponent=moments_res.fitted_log_exponent,
-        per_criterion=per_criterion,
-        agreement=agreement,
-        criteria=(tail_res, moments_res, integral_res),
-    )
+    return CarlesonVerdict(params, (tail_res, moments_res, integral_res))
 
 
 def _consensus(labels) -> str:

@@ -353,7 +353,7 @@ def proposition21_experiment(catalog: dict, params_grid, *,
         mu = compute_moments(m, n_max)
         for s, alpha in params_grid:
             params = CarlesonParams(s, alpha)
-            t_res = classify_tail(m, params, dyadic_t_ladder(tail_depth))
+            t_res = classify_tail(m, params, tail_depth)
             m_res = classify_moments(mu, params)
             entries.append(AgreementEntry(name, s, alpha,
                                           t_res.label, m_res.label))

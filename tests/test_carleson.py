@@ -7,6 +7,7 @@ forms, so every label asserted here can be verified by hand.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from cesarops.carleson import (
     LABEL_VANISHING,
     CarlesonParams,
     CarlesonVerdict,
+    CriterionResult,
+    TrendFit,
     _consensus,
     carleson_integral,
     carleson_quotient,
@@ -248,6 +251,61 @@ def test_integral_borderline_convergence_is_refused():
         carleson_integral(slow, 0.5, params)
 
 
+def test_divergence_reads_inf_past_an_underflowing_prefactor():
+    # gamma = 0.5 < r_exp = 0.75: the integral diverges, while the
+    # prefactor (2**-18)**80 underflows to 0 and the kernel's bound
+    # (2**-18)**-80.25 overflows; the product once read nan.
+    m = RadialMeasure((PowerLogDensity(1.0, 0.5),))
+    params = CarlesonParams(1.0, 0.0, 80.0, 0.75)
+    assert carleson_integral(m, 1.0 - 2.0 ** -18, params) == math.inf
+
+
+def test_kernel_bound_beyond_the_float_range_is_refused():
+    # gamma = 0.5 > r_exp = 0.25 converges, but the kernel's bound
+    # overflows, so no u-cutoff is safe: the cutoff refuses, and the
+    # profile reads the ray as inconclusive with that note.
+    m = RadialMeasure((PowerLogDensity(1.0, 0.5),))
+    params = CarlesonParams(1.0, 0.0, 80.0, 0.25)
+    with pytest.raises(QuadratureError, match="u-cutoff"):
+        carleson_integral(m, 1.0 - 2.0 ** -18, params)
+    res = integral_profile(m, params)
+    assert res.label == LABEL_INCONCLUSIVE
+    assert "u-cutoff" in res.note and res.note == res.subresults[0].note
+
+
+@settings(max_examples=40, deadline=None)
+@given(t_exp=st.floats(60.0, 300.0), gamma=st.floats(0.1, 3.0),
+       beta=st.floats(0.0, 3.0), r_exp=st.floats(0.0, 1.0,
+                                                 exclude_max=True))
+def test_overflowing_kernel_bound_reads_inf_or_refuses(t_exp, gamma, beta,
+                                                       r_exp):
+    # theta = 1 + t_exp - r_exp > 56.9 puts (2**-18)**-theta beyond the
+    # float range, so no quadrature runs: a divergent integral reads inf
+    # and every other call raises QuadratureError, never nan.
+    m = RadialMeasure((PowerLogDensity(1.0, gamma, beta),))
+    params = CarlesonParams(1.0, 0.0, t_exp, r_exp)
+    if gamma < r_exp or (gamma == r_exp and beta <= 1.0):
+        assert carleson_integral(m, 1.0 - 2.0 ** -18, params) == math.inf
+    else:
+        with pytest.raises(QuadratureError):
+            carleson_integral(m, 1.0 - 2.0 ** -18, params)
+
+
+def test_ladders_overflow_only_past_the_float_range(catalog):
+    # At alpha = 400, log(n+1)**400 overflows from n = 2**9 on, although
+    # the atom's normalized moment stays finite until its weight flushes,
+    # and its tail quotient is zero past the atom, not 0 * inf.
+    params = CarlesonParams(1.0, 400.0)
+    res = classify_moments(moments(catalog["atom09"], 2 ** 14), params)
+    assert all(math.isfinite(v) for v in res.values)
+    assert res.values[12] > 1e180 and res.values[-1] == 0.0
+    assert res.label == LABEL_VANISHING
+    res = classify_tail(catalog["atom09"], params)
+    assert res.values[-1] == 0.0 and res.label == LABEL_VANISHING
+    res = classify_moments(moments(catalog["lebesgue"], 2 ** 10), params)
+    assert math.isinf(res.values[-1]) and res.label == LABEL_DIVERGING
+
+
 def test_deep_probe_tolerance_follows_the_integral(monkeypatch, catalog):
     # power_two at |a| = 1 - 2**-18 and (s, alpha, t_exp, r_exp) =
     # (2, 0, 1, 0) is (1-rho) int (1-x) (1-rho x)**-3 dx = 1/2 exactly.
@@ -327,10 +385,11 @@ def test_three_criteria_agree_for_lebesgue(catalog):
         "moments": LABEL_FINITE,
         "integral": LABEL_FINITE,
     }
-    assert verdict.agreement
+    report = verdict.to_dict()
+    assert report["agreement"]
     assert conclusive_agreement(verdict)
-    assert verdict.sup_estimate == pytest.approx(1.0)
-    assert verdict.fitted_exponent == pytest.approx(-1.0, abs=1e-6)
+    assert report["sup_estimate"] == pytest.approx(1.0)
+    assert report["fitted_exponent"] == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_three_criteria_agree_for_the_atom(catalog):
@@ -343,14 +402,8 @@ def test_three_criteria_agree_for_the_atom(catalog):
 def test_conclusive_agreement_requires_a_conclusive_label(catalog):
     verdict = classify_measure(catalog["lebesgue"], CarlesonParams(1.0, 0.0),
                                n_max=2 ** 12)
-    inconclusive = {k: LABEL_INCONCLUSIVE for k in verdict.per_criterion}
-    stripped = type(verdict)(
-        params=verdict.params, sup_estimate=verdict.sup_estimate,
-        limit_estimate=verdict.limit_estimate,
-        fitted_exponent=verdict.fitted_exponent,
-        fitted_log_exponent=verdict.fitted_log_exponent,
-        per_criterion=inconclusive, agreement=True,
-        criteria=verdict.criteria)
+    stripped = CarlesonVerdict(verdict.params, tuple(
+        replace(crit, label=LABEL_INCONCLUSIVE) for crit in verdict.criteria))
     assert not conclusive_agreement(stripped)
 
 
@@ -368,10 +421,9 @@ def test_consensus_of_conclusive_labels(labels, expected):
     assert _consensus(labels) == expected
     assert _consensus(iter(labels)) == expected
     nan = float("nan")
-    verdict = CarlesonVerdict(
-        params=CarlesonParams(1.0, 0.0), sup_estimate=nan,
-        limit_estimate=nan, fitted_exponent=nan, fitted_log_exponent=nan,
-        per_criterion=dict(enumerate(labels)), agreement=False, criteria=())
+    verdict = CarlesonVerdict(CarlesonParams(1.0, 0.0), tuple(
+        CriterionResult(str(i), label, (), (), TrendFit(label, nan, nan, nan))
+        for i, label in enumerate(labels)))
     assert conclusive_agreement(verdict) == (expected != LABEL_INCONCLUSIVE)
 
 

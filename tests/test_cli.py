@@ -105,6 +105,15 @@ def test_classify_integral_of_a_heavy_atom_does_not_overflow(capsys,
         assert json.loads(out)["per_criterion"]["integral"] == "vanishing"
 
 
+def test_classify_at_a_large_log_order_reads_diverging(capsys):
+    # log(e/(1-t))**400 is beyond the float range from t = 1 - 2**-8 on;
+    # the criteria once raised OverflowError there (exit 3).
+    code, out, err = run(capsys, "classify", "--measure", "lebesgue",
+                         "--s", "1", "--alpha", "400")
+    assert code == 0, err
+    assert set(json.loads(out)["per_criterion"].values()) == {"diverging"}
+
+
 def test_classify_ladder_csv(capsys, tmp_path):
     target = tmp_path / "ladders.csv"
     code, out, _ = run(capsys, "classify", "--measure", "atom09",
