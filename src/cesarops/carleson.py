@@ -20,14 +20,16 @@ here so they can be played against each other:
 Finite suprema are numerically undecidable, so every criterion reduces
 to a trend fit on a dyadic ladder with the fixed thresholds
 ``MIN_LADDER_POINTS``, ``SLOPE_BURN_IN``, ``SLOPE_TOL``, ``VANISH_RATIO``
-and ``SETTLE_FACTOR`` (see :func:`trend_label`); the raw ladders are
-always kept alongside the label so borderline calls can be inspected
-rather than trusted.  Where several labels are combined -- the integral
-probes of :func:`classify_measure` and :func:`conclusive_agreement` --
-one consensus rule applies: the label that every conclusive label shares,
-or inconclusive when there is none or they disagree.  A
-:class:`CarlesonVerdict` reads its labels and estimates from its three
-criteria.  A ladder value beyond the float range reads ``inf``.
+and ``SETTLE_FACTOR`` (see :func:`trend_label`).  A
+:class:`CriterionResult` keeps the raw ladder beside its label and
+fitted slope, so borderline calls can be inspected rather than trusted;
+the ladder's peak and terminal value are read off it.  Where several
+labels are combined -- the integral probes of :func:`classify_measure`
+and :func:`conclusive_agreement` -- one consensus rule applies: the
+label that every conclusive label shares, or inconclusive when there is
+none or they disagree.  A :class:`CarlesonVerdict` reads its labels and
+estimates from its three criteria.  A ladder value beyond the float
+range reads ``inf``.
 """
 
 from __future__ import annotations
@@ -100,23 +102,24 @@ class CarlesonParams:
 
 @dataclass(frozen=True)
 class TrendFit:
-    """Outcome of the ladder trend heuristic: label plus its evidence."""
+    """Outcome of :func:`trend_label`: the label and its log2-scale slope
+    (``inf`` on an infinite value, nan where no fit was made)."""
 
     label: str
     slope: float
-    peak: float
-    terminal: float
 
 
 @dataclass(frozen=True)
 class CriterionResult:
-    """One criterion's ladder, raw values, and label."""
+    """One criterion's ladder (``grid``, raw ``values``) and its label and
+    ``slope``; an integral criterion labels its ``subresults`` together
+    and keeps the lead one's ``values`` and ``slope``."""
 
     criterion: str
     label: str
     grid: tuple
     values: tuple
-    trend: TrendFit
+    slope: float
     fitted_exponent: float = float("nan")
     fitted_log_exponent: float = float("nan")
     subresults: tuple = ()
@@ -214,31 +217,27 @@ def trend_label(values) -> TrendFit:
     """
     vals = np.asarray(values, dtype=float)
     if vals.size < MIN_LADDER_POINTS or np.any(np.isnan(vals)):
-        peak = float(np.max(vals)) if vals.size else float("nan")
-        term = float(vals[-1]) if vals.size else float("nan")
-        return TrendFit(LABEL_INCONCLUSIVE, float("nan"), peak, term)
-    peak = float(vals.max())
-    terminal = float(vals[-1])
+        return TrendFit(LABEL_INCONCLUSIVE, float("nan"))
     if np.any(np.isinf(vals)):
-        return TrendFit(LABEL_DIVERGING, float("inf"), peak, terminal)
+        return TrendFit(LABEL_DIVERGING, float("inf"))
+    peak = float(vals.max())
     if peak <= 0.0:
-        return TrendFit(LABEL_VANISHING, float("nan"), peak, terminal)
+        return TrendFit(LABEL_VANISHING, float("nan"))
     last4 = vals[-4:]
-    if (terminal < VANISH_RATIO * peak
+    if (vals[-1] < VANISH_RATIO * peak
             and np.all(last4[1:] <= last4[:-1] + 1e-300)):
-        return TrendFit(LABEL_VANISHING, float("nan"), peak, terminal)
+        return TrendFit(LABEL_VANISHING, float("nan"))
     live = vals > 0.0
     live[:SLOPE_BURN_IN] = False
     if live.sum() < 4:
-        return TrendFit(LABEL_INCONCLUSIVE, float("nan"), peak, terminal)
+        return TrendFit(LABEL_INCONCLUSIVE, float("nan"))
     slope = float(np.polyfit(np.flatnonzero(live).astype(float),
                              np.log2(vals[live]), 1)[0])
     if slope > SLOPE_TOL:
-        return TrendFit(LABEL_DIVERGING, slope, peak, terminal)
+        return TrendFit(LABEL_DIVERGING, slope)
     settled = float(last4.max()) <= SETTLE_FACTOR * max(float(last4.min()),
                                                         1e-300)
-    label = LABEL_FINITE if settled else LABEL_INCONCLUSIVE
-    return TrendFit(label, slope, peak, terminal)
+    return TrendFit(LABEL_FINITE if settled else LABEL_INCONCLUSIVE, slope)
 
 
 def classify_tail(m: RadialMeasure, params: CarlesonParams,
@@ -247,7 +246,7 @@ def classify_tail(m: RadialMeasure, params: CarlesonParams,
     ts = dyadic_t_ladder(depth)
     values = tuple(carleson_quotient(m, t, params) for t in ts)
     trend = trend_label(values)
-    return CriterionResult("tail", trend.label, ts, values, trend)
+    return CriterionResult("tail", trend.label, ts, values, trend.slope)
 
 
 def fit_moment_decay(mu: MomentSequence):
@@ -289,7 +288,7 @@ def classify_moments(mu: MomentSequence,
                    for n in ns)
     trend = trend_label(values)
     exponent, log_exponent, _ = fit_moment_decay(mu)
-    return CriterionResult("moments", trend.label, ns, values, trend,
+    return CriterionResult("moments", trend.label, ns, values, trend.slope,
                            fitted_exponent=exponent,
                            fitted_log_exponent=log_exponent)
 
@@ -371,13 +370,13 @@ def integral_profile(m: RadialMeasure, params: CarlesonParams,
             ray_note = note = str(exc)
         trend = trend_label(values)
         subresults.append(CriterionResult(
-            "integral ray phi=%.6f" % phi, trend.label, rhos, values, trend,
-            note=ray_note))
+            "integral ray phi=%.6f" % phi, trend.label, rhos, values,
+            trend.slope, note=ray_note))
     labels = {sub.label for sub in subresults}
     overall = labels.pop() if len(labels) == 1 else LABEL_INCONCLUSIVE
     lead = subresults[0]
     return CriterionResult("integral", overall, rhos, lead.values,
-                           lead.trend, subresults=tuple(subresults),
+                           lead.slope, subresults=tuple(subresults),
                            note=note)
 
 
@@ -414,7 +413,7 @@ def classify_measure(m: RadialMeasure, params: CarlesonParams, *,
     lead = probe_results[0]
     integral_res = CriterionResult(
         "integral", _consensus(r.label for r in probe_results),
-        lead.grid, lead.values, lead.trend,
+        lead.grid, lead.values, lead.slope,
         subresults=tuple(probe_results),
         note="; ".join(r.note for r in probe_results if r.note))
 

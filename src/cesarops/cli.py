@@ -102,9 +102,9 @@ def _verdict_to_dict(verdict) -> dict:
         "label": crit.label,
         "grid": list(crit.grid),
         "values": list(crit.values),
-        "slope": crit.trend.slope,
-        "peak": crit.trend.peak,
-        "terminal": crit.trend.terminal,
+        "slope": crit.slope,
+        "peak": float(np.max(crit.values)) if crit.values else math.nan,
+        "terminal": crit.values[-1] if crit.values else math.nan,
     } for crit in verdict.criteria]
     return {"s": verdict.params.s, "alpha": verdict.params.alpha,
             **verdict.to_dict(), "criteria": crits}

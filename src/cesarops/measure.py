@@ -14,9 +14,9 @@ a sum or a comprehension over the components:
 
 * ``tail(t)`` -- the measure of [t, 1) in closed form; ``tail(0)`` is
   the mass;
-* ``moments(ns, abs_tol)`` -- the moments ``integral of t**n`` for the
-  orders ``ns``: closed forms for atoms and tables, one shared panel grid
-  for a power-log density;
+* ``moments(n_max, abs_tol)`` -- the moments ``integral of t**n`` for
+  the orders ``n = 0..n_max``, as one vector: closed forms for atoms and
+  tables, one shared panel grid for a power-log density;
 * ``integrate(g, tol, r_exp=0, bound=1)`` -- the integral of
   ``g(t) * (1 - t)**(-r_exp)`` against the component, for a vectorized
   kernel ``g``, to the quadrature's ``tol`` (absolute up to magnitude 1,
@@ -35,7 +35,10 @@ A component's JSON spec is its ``kind`` plus exactly its dataclass fields.
 ``integrate`` is the one routine that integrates a kernel against a
 measure: :func:`moment`, the integral route of the operator in
 :mod:`cesarops.series` and the Carleson integrals in
-:mod:`cesarops.carleson` are all kernels handed to it.
+:mod:`cesarops.carleson` are all kernels handed to it.  ``_integrate``
+sums it over the components, each to an equal share of the tolerance,
+for :func:`moment` and the integral route; ``carleson_integral`` keeps
+its own sum, which asks each component for the full tolerance.
 ``moment_via_tail`` evaluates the moments through the
 distribution-function identity
 
@@ -162,12 +165,11 @@ class PowerLogDensity:
         return integrate_adaptive(integrand, 0.0, cut, tol=tol,
                                   breakpoints=dyadic).value
 
-    def moments(self, ns, abs_tol):
-        """All moments up to ``max(ns)`` on one shared panel grid, refined
+    def moments(self, n_max, abs_tol):
+        """All moments up to ``n_max`` on one shared panel grid, refined
         until the whole vector is stable."""
         if self.c == 0.0:
-            return np.zeros(len(ns))
-        n_max = int(np.max(ns))
+            return np.zeros(n_max + 1)
         cut = self._cutoff(self.gamma, 1.0)
         xs, ws = gauss_rule(24)
 
@@ -193,7 +195,7 @@ class PowerLogDensity:
             delta = float(np.max(np.abs(cur - prev)))
             prev = cur
             if delta <= 0.25 * abs_tol:
-                return cur[ns]
+                return cur
         raise QuadratureError(
             "moment batch did not converge: achieved %.3e, requested %.3e"
             % (delta, abs_tol), value=prev, error=delta)
@@ -222,8 +224,8 @@ class PointMass:
             return 0.0
         return self.w * (1.0 - self.t0) ** -r_exp * g(np.array([self.t0]))[0]
 
-    def moments(self, ns, abs_tol):
-        vals = self.w * _power(self.t0, np.asarray(ns, dtype=float))
+    def moments(self, n_max, abs_tol):
+        vals = self.w * _power(self.t0, np.arange(n_max + 1.0))
         return np.where(vals < _ATOM_FLUSH, 0.0, vals)
 
 
@@ -293,19 +295,17 @@ class TabulatedDensity:
         vs = np.asarray(self.v)
 
         def integrand(t):
-            val = g(t)
-            if r_exp:
-                val = val * (1.0 - t) ** -r_exp
-            return val * np.interp(t, xs, vs, right=0.0)
+            return (g(t) * (1.0 - t) ** -r_exp
+                    * np.interp(t, xs, vs, right=0.0))
 
         return integrate_adaptive(integrand, 0.0, self.x[-1], tol=tol,
                                   breakpoints=self.x).value
 
-    def moments(self, ns, abs_tol):
+    def moments(self, n_max, abs_tol):
         """Exact moments of the piecewise-linear density against t**n."""
-        ns = np.asarray(ns)
+        ns = np.arange(n_max + 1)
         x, a, b = self._panels()
-        out = np.zeros(len(ns))
+        out = np.zeros(n_max + 1)
         for i in range(len(a)):
             d1 = _pow_diff(x[i], x[i + 1], ns + 1)
             d2 = _pow_diff(x[i], x[i + 1], ns + 2)
@@ -386,6 +386,13 @@ def tail(m: RadialMeasure, t: float) -> float:
     return sum(comp.tail(t) for comp in m.components)
 
 
+def _integrate(m: RadialMeasure, g, tol: float):
+    """The integral of the kernel ``g`` against ``m``, each component's
+    part to an equal share of ``tol``."""
+    share = tol / len(m.components)
+    return sum(comp.integrate(g, share) for comp in m.components)
+
+
 def moment(m: RadialMeasure, n: int, *, abs_tol: float = DEFAULT_TOL) -> float:
     """n-th moment, integral of t**n dm(t), to abs_tol shared among the
     components, each absolute up to magnitude 1 and relative above it."""
@@ -394,9 +401,7 @@ def moment(m: RadialMeasure, n: int, *, abs_tol: float = DEFAULT_TOL) -> float:
     if not 0.0 < abs_tol < math.inf:
         raise ValueError("abs_tol must be positive and finite")
 
-    share = abs_tol / len(m.components)
-    return float(sum(comp.integrate(lambda t: _power(t, n), share)
-                     for comp in m.components).real)
+    return float(_integrate(m, lambda t: _power(t, n), abs_tol).real)
 
 
 def moments(m: RadialMeasure, n_max: int, *,
@@ -411,9 +416,8 @@ def moments(m: RadialMeasure, n_max: int, *,
         raise ValueError("n_max must be >= 0")
     if not 0.0 < abs_tol < math.inf:
         raise ValueError("abs_tol must be positive and finite")
-    ns = np.arange(n_max + 1)
     share = abs_tol / len(m.components)
-    vals = sum(comp.moments(ns, share) for comp in m.components)
+    vals = sum(comp.moments(n_max, share) for comp in m.components)
     return MomentSequence(vals, n_max, abs_tol).validate()
 
 

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from cesarops.measure import MomentSequence, RadialMeasure, _spec_numbers
+from cesarops.measure import (MomentSequence, RadialMeasure, _integrate,
+                              _spec_numbers)
 # the integral route runs through RadialMeasure components; the name stays
 # importable here because bench/test_bench.py checks that tracing restores it
 from cesarops.quadrature import integrate_adaptive  # noqa: F401
@@ -225,14 +226,6 @@ def _ray_values(terms, t):
     return out.view(complex)
 
 
-def _integral_eval_point(m, kernel):
-    """Shared engine for the integral representations: ``kernel`` (a
-    vectorized function of t) integrated against ``m`` to the tolerance
-    1e-12, each component to an equal share."""
-    share = 1e-12 / len(m.components)
-    return complex(sum(comp.integrate(kernel, share) for comp in m.components))
-
-
 def cesaro_like_integral_eval(m: RadialMeasure, f: PowerSeries, z) -> complex:
     """Integral route for ``(C f)(z)``: integral of ``f(tz)/(1-tz) dm(t)``,
     with ``f(tz)`` from the power table on the ray (module docstring)."""
@@ -242,7 +235,7 @@ def cesaro_like_integral_eval(m: RadialMeasure, f: PowerSeries, z) -> complex:
     def kernel(t):
         return _ray_values(terms, t)[:, 0] / (1.0 - t * z)
 
-    return _integral_eval_point(m, kernel)
+    return complex(_integrate(m, kernel, 1e-12))
 
 
 def cesaro_like_derivative_eval(m: RadialMeasure, f: PowerSeries,
@@ -261,7 +254,7 @@ def cesaro_like_derivative_eval(m: RadialMeasure, f: PowerSeries,
         df, f_ = _ray_values(terms, t).T
         return t * (df * frac + f_ * frac * frac)
 
-    return _integral_eval_point(m, kernel)
+    return complex(_integrate(m, kernel, 1e-12))
 
 
 def log_series(degree: int) -> PowerSeries:

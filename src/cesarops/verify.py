@@ -220,8 +220,9 @@ def _experiment(theorem, m, p, s, config, rule):
     ladder keeps the raw mean-Lipschitz norms only.
     """
     q = _conjugate(p)
-    if not s > 1.0:
-        raise ValueError("%s_experiment requires s > 1" % theorem)
+    if not 1.0 < s < math.inf:
+        raise ValueError("%s_experiment requires 1 < s < inf, got s = %r"
+                         % (theorem, s))
     if config.ladder_depth < 4:
         raise ValueError("%s_experiment requires ladder_depth >= 4: the "
                          "decay exponent fits the last four rungs" % theorem)
@@ -268,10 +269,10 @@ def boundedness_experiment(m: RadialMeasure, p: float, s: float,
     """Play the ratio ladder, the lower-bound statistic, and the
     classifier at ``(1, 1/q)`` against each other.
 
-    Requires ``p, s > 1``.  The verdict is "not bounded" as soon as the
-    ratio ladder or the lower-bound ladder diverges, "bounded" when both
-    stay tame, and "inconclusive" otherwise; the consistency flag
-    records whether classifier and ladders tell the same story.
+    Requires finite ``p, s > 1``.  The verdict is "not bounded" as soon
+    as the ratio ladder or the lower-bound ladder diverges, "bounded"
+    when both stay tame, and "inconclusive" otherwise; the consistency
+    flag records whether classifier and ladders tell the same story.
     """
     return _experiment("boundedness", m, p, s, config or ExperimentConfig(),
                        _boundedness_verdict)

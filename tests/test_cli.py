@@ -114,6 +114,46 @@ def test_classify_at_a_large_log_order_reads_diverging(capsys):
     assert set(json.loads(out)["per_criterion"].values()) == {"diverging"}
 
 
+def _peak_and_terminal_are_read_off_the_ladder(criterion):
+    values = criterion["values"]
+    if values:
+        assert criterion["peak"] == max(values)
+        assert criterion["terminal"] == values[-1]
+    else:
+        assert math.isnan(criterion["peak"])
+        assert math.isnan(criterion["terminal"])
+
+
+def test_classify_reads_peak_and_terminal_off_each_ladder(capsys):
+    code, out, _ = run(capsys, "classify", "--measure", "lebesgue",
+                       "--n-max", "1024")
+    assert code == 0
+    criteria = json.loads(out)["criteria"]
+    assert len(criteria) == 3 and all(c["values"] for c in criteria)
+    for criterion in criteria:
+        _peak_and_terminal_are_read_off_the_ladder(criterion)
+
+
+def test_classify_with_a_refused_lead_probe_keeps_an_empty_ladder(
+        capsys, tmp_path):
+    # the lead probe (r_exp = 0) decays at the rate gamma = 0.1 only and
+    # refuses its u-cutoff at the deep rungs; the other two probes
+    # (r_exp = 1/2 > gamma) read inf and label the integral criterion
+    spec = tmp_path / "slow.json"
+    spec.write_text(json.dumps({"components": [
+        {"kind": "power_log", "c": 1, "gamma": 0.1}]}))
+    code, out, err = run(capsys, "classify", "--measure", str(spec),
+                         "--s", "1", "--alpha", "0")
+    assert code == 0, err
+    criteria = json.loads(out)["criteria"]
+    for criterion in criteria:
+        _peak_and_terminal_are_read_off_the_ladder(criterion)
+    integral = criteria[2]
+    assert integral["label"] == "diverging" and integral["values"] == []
+    assert all(math.isnan(integral[key])
+               for key in ("slope", "peak", "terminal"))
+
+
 def test_classify_ladder_csv(capsys, tmp_path):
     target = tmp_path / "ladders.csv"
     code, out, _ = run(capsys, "classify", "--measure", "atom09",
@@ -285,6 +325,17 @@ def test_verify_ladder_shorter_than_four_rungs_is_an_input_error(
                          "--measure", "atom09", "--ladder-depth", depth)
     assert code == 2 and out == ""
     assert "ladder_depth >= 4" in err
+
+
+@pytest.mark.parametrize("theorem", ["boundedness", "compactness"])
+@pytest.mark.parametrize("s", ["inf", "nan"])
+def test_verify_non_finite_s_is_an_input_error(capsys, theorem, s):
+    # --s inf once ran the whole moment batch, then failed in the mean
+    # Lipschitz norm with a message about p
+    code, out, err = run(capsys, "verify", "--theorem", theorem,
+                         "--measure", "atom09", "--s", s)
+    assert code == 2 and out == ""
+    assert "requires 1 < s < inf, got s = %s" % s in err
 
 
 @pytest.mark.parametrize("argv", [

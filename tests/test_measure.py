@@ -15,7 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cesarops.carleson import CarlesonParams, classify_measure
+from cesarops.carleson import (
+    CarlesonParams,
+    carleson_integral,
+    classify_measure,
+)
 from cesarops.catalog import (
     builtin_measure_names,
     load_builtin_measure,
@@ -37,6 +41,11 @@ from cesarops.measure import (
     total_mass,
 )
 from cesarops.quadrature import QuadratureError
+from cesarops.series import (
+    cesaro_like_derivative_eval,
+    cesaro_like_integral_eval,
+    log_series,
+)
 
 LOG_ONE_MASS = 0.5963473623231941  # e * E1(1)
 
@@ -371,3 +380,28 @@ def test_integrate_monomial_reproduces_the_moments(catalog, hat_table):
                         for comp in m.components)
             slack = mu.abs_tolerance + tol * len(m.components)
             assert total == pytest.approx(mu[n], abs=slack), (name, n)
+
+
+def test_kernel_integrals_share_or_keep_their_tolerance(monkeypatch):
+    # moment and the two integral routes split their tolerance equally
+    # among the components; carleson_integral asks each for its full 1e-10
+    m = load_builtin_measure("mix_atom_power")
+    asked = []
+    for cls in (PointMass, PowerLogDensity):
+        def spy(self, g, tol, *, original=cls.integrate, **kwargs):
+            asked.append((type(self).__name__, tol))
+            return original(self, g, tol, **kwargs)
+        monkeypatch.setattr(cls, "integrate", spy)
+    f = log_series(16)
+    calls = {
+        1e-12 / 2: (lambda: moment(m, 3),
+                    lambda: cesaro_like_integral_eval(m, f, 0.5),
+                    lambda: cesaro_like_derivative_eval(m, f, 0.5j)),
+        1e-10: (lambda: carleson_integral(m, 0.5, CarlesonParams(1.0)),),
+    }
+    for share, runs in calls.items():
+        for call in runs:
+            asked.clear()
+            call()
+            assert asked == [("PointMass", share),
+                             ("PowerLogDensity", share)]
