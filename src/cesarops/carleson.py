@@ -15,7 +15,9 @@ here so they can be played against each other:
   ``(1-|a|)**t_exp * log(e/(1-|a|))**alpha *
   integral (1-x)**(-r_exp) |1 - a x|**(-(s+t_exp-r_exp)) dm(x)``
   as ``|a|`` approaches 1, in three variants that differ in how the
-  complex factor is treated.
+  complex factor is treated.  The measure lives on [0, 1), so each
+  integral is largest on the real ray ``a = |a|``, where the three
+  variants agree; the classifier profiles that ray alone.
 
 Finite suprema are numerically undecidable, so every criterion reduces
 to a trend fit on a dyadic ladder with the fixed thresholds
@@ -112,8 +114,9 @@ class TrendFit:
 @dataclass(frozen=True)
 class CriterionResult:
     """One criterion's ladder (``grid``, raw ``values``) and its label and
-    ``slope``; an integral criterion labels its ``subresults`` together
-    and keeps the lead one's ``values`` and ``slope``."""
+    ``slope``; the integral criterion of :func:`classify_measure` labels
+    its probes, the ``subresults``, together and keeps the lead probe's
+    ``values`` and ``slope``."""
 
     criterion: str
     label: str
@@ -316,6 +319,8 @@ def carleson_integral(m: RadialMeasure, a: complex, params: CarlesonParams,
     and ``D`` is ``1 - |a|x`` (variant ``"ii"``, depends on ``|a|``
     only), ``|1 - ax|`` (variant ``"iii"``), or the complex ``1 - ax``
     (variant ``"iv"``, where the modulus is taken after integrating).
+    On the real ray ``a = |a|`` the three agree (``"iii"`` is ``"ii"``
+    bit for bit); off it ``"iv" <= "iii" <= "ii"``.
     Each component's part of ``I`` is taken to the quadrature's 1e-10.
     The result is ``inf`` when the integral diverges at the ``x = 1``
     endpoint, which happens exactly when some density component has
@@ -347,37 +352,25 @@ def carleson_integral(m: RadialMeasure, a: complex, params: CarlesonParams,
 def integral_profile(m: RadialMeasure, params: CarlesonParams,
                      variant: str = "ii", *, depth: int = 18
                      ) -> CriterionResult:
-    """Trend of the integral condition as ``|a| -> 1`` along rays.
+    """Trend of the integral condition as ``a -> 1`` on the real ray.
 
-    ``|a|`` runs over the dyadic ladder up to the given depth.  Variant
-    ``"ii"`` depends on ``|a|`` alone, so it is profiled on the real ray
-    only; the other variants are profiled on the rays at angles 0, pi/3
-    and 3 pi/4, and the result is a ray's label only when every ray
-    reports it (an inconclusive ray makes the result inconclusive).
+    ``a`` runs over the dyadic ladder up to the given depth.  The measure
+    lives on [0, 1), where ``|1 - a x| >= 1 - |a| x``, so the sup of every
+    variant over the circle ``|a| = rho`` is its value at ``a = rho``; the
+    variant only picks the kernel that evaluates it there.  A
+    ``QuadratureError`` leaves an empty inconclusive ladder whose note is
+    the error.
     """
     rhos = dyadic_t_ladder(depth)
-    use_rays = ((0.0,) if variant == "ii"
-                else (0.0, math.pi / 3.0, 3.0 * math.pi / 4.0))
-    subresults = []
-    note = ""
-    for phi in use_rays:
-        direction = complex(math.cos(phi), math.sin(phi))
-        values, ray_note = (), ""
-        try:
-            values = tuple(carleson_integral(m, rho * direction, params,
-                                             variant) for rho in rhos)
-        except QuadratureError as exc:
-            ray_note = note = str(exc)
-        trend = trend_label(values)
-        subresults.append(CriterionResult(
-            "integral ray phi=%.6f" % phi, trend.label, rhos, values,
-            trend.slope, note=ray_note))
-    labels = {sub.label for sub in subresults}
-    overall = labels.pop() if len(labels) == 1 else LABEL_INCONCLUSIVE
-    lead = subresults[0]
-    return CriterionResult("integral", overall, rhos, lead.values,
-                           lead.slope, subresults=tuple(subresults),
-                           note=note)
+    values, note = (), ""
+    try:
+        values = tuple(carleson_integral(m, rho, params, variant)
+                       for rho in rhos)
+    except QuadratureError as exc:
+        note = str(exc)
+    trend = trend_label(values)
+    return CriterionResult("integral", trend.label, rhos, values,
+                           trend.slope, note=note)
 
 
 def classify_measure(m: RadialMeasure, params: CarlesonParams, *,
@@ -390,8 +383,10 @@ def classify_measure(m: RadialMeasure, params: CarlesonParams, *,
     ``(1, 0)``, ``(1, s/2)`` and ``(2, s/2)``, each profiled to depth 18,
     and labeled by the consensus of the probes (see :func:`_consensus`).
     The probes fix their own exponents, so ``params.t_exp`` and
-    ``params.r_exp`` are not read.  The moment ladder runs to ``n_max``;
-    a precomputed ``mu`` is cut there, and a shorter one raises.
+    ``params.r_exp`` are not read, and ``variant`` picks the kernel on
+    the real ray (see :func:`integral_profile`).  The moment ladder runs
+    to ``n_max``; a precomputed ``mu`` is cut there, and a shorter one
+    raises.
     """
     tail_res = classify_tail(m, params, tail_depth)
     if mu is None:

@@ -114,18 +114,13 @@ def _cmd_classify(args) -> str:
     m = resolve_measure(args.measure)
     params = CarlesonParams(args.s, args.alpha)
     verdict = classify_measure(m, params, tail_depth=args.ladder_depth,
-                               n_max=args.n_max, variant=args.variant)
+                               n_max=args.n_max)
     if args.out is not None and args.out.endswith(".csv"):
-        rows = []
-
-        def walk(crit):
-            for i, (g, v) in enumerate(zip(crit.grid, crit.values)):
-                rows.append((crit.criterion, i, g, v))
-            for sub in crit.subresults:
-                walk(sub)
-
-        for crit in verdict.criteria:
-            walk(crit)
+        # each criterion's ladder, then its integral probes' ladders
+        rows = [(crit.criterion, i, g, v)
+                for top in verdict.criteria
+                for crit in (top, *top.subresults)
+                for i, (g, v) in enumerate(zip(crit.grid, crit.values))]
         return _csv(rows, ("criterion", "index", "grid", "value"))
     return _dump_json(_verdict_to_dict(verdict))
 
@@ -215,7 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--variant", choices=("ii", "iii", "iv"), default="ii")
     p.add_argument("--ladder-depth", type=int, default=14)
     p.add_argument("--n-max", type=int, default=2 ** 14)
     add_common(p)

@@ -216,8 +216,9 @@ def _experiment(theorem, m, p, s, config, rule):
     by ``rule(ts, ladder, trends, classifier_label, p)``.
 
     The boundedness ladder divides each image norm by the Besov norm of
-    its test function and comes with a Bloch-norm ladder; the compactness
-    ladder keeps the raw mean-Lipschitz norms only.
+    its test function, which must be positive and finite (at a huge ``p``
+    it underflows to 0), and comes with a Bloch-norm ladder; the
+    compactness ladder keeps the raw mean-Lipschitz norms only.
     """
     q = _conjugate(p)
     if not 1.0 < s < math.inf:
@@ -236,6 +237,10 @@ def _experiment(theorem, m, p, s, config, rule):
         f = test_function(t, p, config.degree(j))
         cf = cesaro_like(mu, f)
         size = besov_norm(f, p).value if bounded else 1.0
+        if not 0.0 < size < math.inf:
+            raise ValueError("the Besov norm of the test function at p = %r,"
+                             " t = %r is %r, not positive and finite"
+                             % (p, t, float(size)))
         ladder.append(mean_lipschitz_norm(cf, s, 1.0 / s).value / size)
         if bounded:
             bloch.append(bloch_norm(cf).value / size)

@@ -163,8 +163,11 @@ def test_classify_ladder_csv(capsys, tmp_path):
     lines = text.strip().splitlines()
     assert lines[0] == "criterion,index,grid,value"
     criteria = {line.split(",")[0] for line in lines[1:]}
-    assert "tail" in criteria and "moments" in criteria
-    assert any(c.startswith("integral ray") for c in criteria)
+    # the integral probes profile the real ray alone: no per-ray rows
+    assert criteria == {"tail", "moments", "integral",
+                        "integral probe t_exp=1 r_exp=0",
+                        "integral probe t_exp=1 r_exp=0.5",
+                        "integral probe t_exp=2 r_exp=0.5"}
 
 
 def test_non_finite_values_print_as_json_tokens(capsys, tmp_path):
@@ -390,6 +393,13 @@ def test_classify_rejects_the_removed_exponent_flags(capsys, flag):
         main(["classify", "--measure", "lebesgue", flag, "0.5"])
     assert info.value.code == 2
     assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+
+def test_classify_rejects_the_removed_variant_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--measure", "lebesgue", "--variant", "iii"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --variant" in capsys.readouterr().err
 
 
 def test_bad_parameters_are_an_input_error(capsys):

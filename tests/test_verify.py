@@ -12,6 +12,7 @@ import math
 import pytest
 
 from cesarops.carleson import CarlesonParams, classify_measure
+from cesarops.cli import main
 from cesarops.measure import PointMass, RadialMeasure, moments
 from cesarops.verify import (
     VERDICT_BOUNDED,
@@ -74,6 +75,20 @@ def test_exponent_boundary_is_rejected(catalog):
         boundedness_experiment(catalog["lebesgue"], 2.0, 1.0, CHEAP)
     with pytest.raises(ValueError):
         compactness_experiment(catalog["lebesgue"], 2.0, 0.5, CHEAP)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_test_function_without_a_finite_besov_norm_is_refused(
+        capsys, catalog):
+    # at p = 1e300 the test functions' Besov norms underflow to 0, and the
+    # ratio ladder once read inf behind two divide-by-zero warnings
+    with pytest.raises(ValueError, match=r"p = 1e\+300, t = 0\.5 is 0\.0"):
+        boundedness_experiment(catalog["lebesgue"], 1e300, 2.0, CHEAP)
+    code = main(["verify", "--theorem", "boundedness", "--measure",
+                 "lebesgue", "--p", "1e300", "--ladder-depth", "4"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "p = 1e+300, t = 0.5" in err and "Warning" not in err
 
 
 # ------------------------------------------------------------ experiments
