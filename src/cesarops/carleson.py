@@ -41,7 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from cesarops.measure import MomentSequence, RadialMeasure, moments, tail
+from cesarops.measure import (MomentSequence, RadialMeasure, _integrate,
+                              moments, tail)
 from cesarops.quadrature import QuadratureError
 
 __all__ = [
@@ -321,7 +322,7 @@ def carleson_integral(m: RadialMeasure, a: complex, params: CarlesonParams,
     (variant ``"iv"``, where the modulus is taken after integrating).
     On the real ray ``a = |a|`` the three agree (``"iii"`` is ``"ii"``
     bit for bit); off it ``"iv" <= "iii" <= "ii"``.
-    Each component's part of ``I`` is taken to the quadrature's 1e-10.
+    ``I`` is taken to the quadrature's 1e-10, shared by its densities.
     The result is ``inf`` when the integral diverges at the ``x = 1``
     endpoint, which happens exactly when some density component has
     power exponent at most ``r_exp``, even where the prefactor underflows
@@ -334,19 +335,15 @@ def carleson_integral(m: RadialMeasure, a: complex, params: CarlesonParams,
     if not rho < 1.0:
         raise ValueError("carleson_integral requires |a| < 1")
     theta = params.s + params.t_exp - params.r_exp
-    r_exp = params.r_exp
     kernel = _variant_kernel(variant, a, rho, theta)
 
     bound_edge = _scaled(1.0, (1.0 - rho, -theta))   # bounds the kernel
     prefactor = _scaled(1.0, (1.0 - rho, params.t_exp),
                         (_log_factor(rho), params.alpha))
-    total = sum(comp.integrate(kernel, 1e-10, r_exp=r_exp, bound=bound_edge)
-                for comp in m.components)
+    total = _integrate(m, kernel, 1e-10, r_exp=params.r_exp, bound=bound_edge)
     if math.isinf(abs(total)):
         return math.inf
-    if variant == "iv":
-        return prefactor * abs(total)
-    return prefactor * float(total.real)
+    return prefactor * float(abs(total))
 
 
 def integral_profile(m: RadialMeasure, params: CarlesonParams,

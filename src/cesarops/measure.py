@@ -35,10 +35,10 @@ A component's JSON spec is its ``kind`` plus exactly its dataclass fields.
 ``integrate`` is the one routine that integrates a kernel against a
 measure: :func:`moment`, the integral route of the operator in
 :mod:`cesarops.series` and the Carleson integrals in
-:mod:`cesarops.carleson` are all kernels handed to it.  ``_integrate``
-sums it over the components, each to an equal share of the tolerance,
-for :func:`moment` and the integral route; ``carleson_integral`` keeps
-its own sum, which asks each component for the full tolerance.
+:mod:`cesarops.carleson` are all kernels handed to ``_integrate``, which
+sums it over the components.  One rule splits every tolerance, there
+and in :func:`moments`: the densities share it equally, and an atom,
+whose part is a closed form, takes no share.
 ``moment_via_tail`` evaluates the moments through the
 distribution-function identity
 
@@ -386,21 +386,26 @@ def tail(m: RadialMeasure, t: float) -> float:
     return sum(comp.tail(t) for comp in m.components)
 
 
-def _integrate(m: RadialMeasure, g, tol: float):
-    """The integral of the kernel ``g`` against ``m``, each component's
-    part to an equal share of ``tol``."""
-    share = tol / len(m.components)
-    return sum(comp.integrate(g, share) for comp in m.components)
+def _share(m: RadialMeasure, tol: float) -> float:
+    """``tol`` split equally among the densities: an atom is a closed form."""
+    densities = sum(not isinstance(comp, PointMass) for comp in m.components)
+    return tol / max(densities, 1)
+
+
+def _integrate(m: RadialMeasure, g, tol: float, **kwargs):
+    """The integral of ``g`` against ``m``, to ``tol`` split by :func:`_share`;
+    ``kwargs`` (``r_exp=``, ``bound=``) go to each ``comp.integrate``."""
+    share = _share(m, tol)
+    return sum(comp.integrate(g, share, **kwargs) for comp in m.components)
 
 
 def moment(m: RadialMeasure, n: int, *, abs_tol: float = DEFAULT_TOL) -> float:
-    """n-th moment, integral of t**n dm(t), to abs_tol shared among the
-    components, each absolute up to magnitude 1 and relative above it."""
+    """n-th moment, integral of t**n dm(t), to abs_tol shared by the
+    densities, each absolute up to magnitude 1 and relative above it."""
     if n < 0:
         raise ValueError("moment order must be >= 0")
     if not 0.0 < abs_tol < math.inf:
         raise ValueError("abs_tol must be positive and finite")
-
     return float(_integrate(m, lambda t: _power(t, n), abs_tol).real)
 
 
@@ -410,13 +415,13 @@ def moments(m: RadialMeasure, n_max: int, *,
 
     Power-log components are integrated on one shared panel grid that is
     refined until the whole vector of moments is stable; atoms and tabulated
-    densities use closed forms.
+    densities use closed forms.  ``abs_tol`` is split by :func:`_share`.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if not 0.0 < abs_tol < math.inf:
         raise ValueError("abs_tol must be positive and finite")
-    share = abs_tol / len(m.components)
+    share = _share(m, abs_tol)
     vals = sum(comp.moments(n_max, share) for comp in m.components)
     return MomentSequence(vals, n_max, abs_tol).validate()
 
@@ -424,44 +429,38 @@ def moments(m: RadialMeasure, n_max: int, *,
 def moment_via_tail(m: RadialMeasure, n: int) -> float:
     """n-th moment through the distribution-function identity (n >= 1).
 
-    Integrates ``n * x**(n-1) * tail(m, x)`` to 1e-11 shared among the
-    components (absolute up to magnitude 1, relative above it) with
-    closed-form tails, an integration path independent of :func:`moment`.
+    Integrates ``n * x**(n-1) * tail(m, x)`` to 1e-11 split equally among
+    all the components, atoms too, whose part is a quadrature here (absolute
+    up to magnitude 1, relative above it), with closed-form tails: an
+    integration path independent of :func:`moment`.
     """
     if n < 1:
         raise ValueError("moment_via_tail requires n >= 1")
     out = 0.0
     share = 1e-11 / len(m.components)
     for comp in m.components:
+        breaks = ()
         if isinstance(comp, PowerLogDensity):
-            cut = comp._cutoff(comp.gamma, float(n))
+            hi = comp._cutoff(comp.gamma, float(n))
 
             def integrand(u, comp=comp):
                 tails = np.array([comp._tail_u(ui) for ui in u])
                 return n * _power(-np.expm1(-u), n - 1) * tails * np.exp(-u)
-
-            out += float(integrate_adaptive(integrand, 0.0, cut,
-                                            tol=share).value.real)
         elif isinstance(comp, PointMass):
             if comp.w == 0.0 or comp.t0 == 0.0:
                 continue
-            u0 = -math.log1p(-comp.t0)
+            hi = -math.log1p(-comp.t0)
 
             def integrand(u, comp=comp):
                 return n * comp.w * _power(-np.expm1(-u), n - 1) * np.exp(-u)
-
-            out += float(integrate_adaptive(integrand, 0.0, u0,
-                                            tol=share).value.real)
         else:
-            x_hi = comp.x[-1]
+            hi, breaks = comp.x[-1], comp.x
 
             def integrand(x, comp=comp):
                 tails = np.array([comp.tail(xi) for xi in x])
                 return n * _power(x, n - 1) * tails
-
-            out += float(integrate_adaptive(integrand, 0.0, x_hi,
-                                            tol=share,
-                                            breakpoints=comp.x).value.real)
+        out += float(integrate_adaptive(integrand, 0.0, hi, tol=share,
+                                        breakpoints=breaks).value.real)
     return out
 
 

@@ -382,26 +382,65 @@ def test_integrate_monomial_reproduces_the_moments(catalog, hat_table):
             assert total == pytest.approx(mu[n], abs=slack), (name, n)
 
 
-def test_kernel_integrals_share_or_keep_their_tolerance(monkeypatch):
-    # moment and the two integral routes split their tolerance equally
-    # among the components; carleson_integral asks each for its full 1e-10
-    m = load_builtin_measure("mix_atom_power")
+def _densities_asked(m, mp, compute=True):
+    """``{caller: (tol, [tolerance asked of each density])}`` for each
+    caller that integrates against ``m``, from spies on every component's
+    ``integrate`` and ``moments``; with ``compute`` false the spies return
+    zeros in place of the integral or the moments."""
     asked = []
-    for cls in (PointMass, PowerLogDensity):
-        def spy(self, g, tol, *, original=cls.integrate, **kwargs):
-            asked.append((type(self).__name__, tol))
-            return original(self, g, tol, **kwargs)
-        monkeypatch.setattr(cls, "integrate", spy)
+    for cls in (PointMass, PowerLogDensity, TabulatedDensity):
+        for name in ("integrate", "moments"):
+            def spy(self, arg, tol, *, original=getattr(cls, name), name=name,
+                    **kwargs):
+                asked.append((type(self).__name__, tol))
+                if compute:
+                    return original(self, arg, tol, **kwargs)
+                return 0.0 if name == "integrate" else np.zeros(arg + 1)
+            mp.setattr(cls, name, spy)
     f = log_series(16)
-    calls = {
-        1e-12 / 2: (lambda: moment(m, 3),
-                    lambda: cesaro_like_integral_eval(m, f, 0.5),
-                    lambda: cesaro_like_derivative_eval(m, f, 0.5j)),
-        1e-10: (lambda: carleson_integral(m, 0.5, CarlesonParams(1.0)),),
+    callers = {
+        "moment": (1e-12, lambda: moment(m, 3)),
+        "integral route": (
+            1e-12, lambda: cesaro_like_integral_eval(m, f, 0.5)),
+        "derivative route": (
+            1e-12, lambda: cesaro_like_derivative_eval(m, f, 0.5j)),
+        "carleson_integral": (
+            1e-10, lambda: carleson_integral(m, 0.5, CarlesonParams(1.0))),
+        "moments": (1e-10, lambda: moments(m, 64, abs_tol=1e-10)),
     }
-    for share, runs in calls.items():
-        for call in runs:
-            asked.clear()
-            call()
-            assert asked == [("PointMass", share),
-                             ("PowerLogDensity", share)]
+    out = {}
+    for caller, (tol, call) in callers.items():
+        asked.clear()
+        call()
+        out[caller] = (tol, [t for kind, t in asked if kind != "PointMass"])
+    return out
+
+
+def test_an_atom_takes_no_share_of_a_kernel_integral(monkeypatch):
+    # an atom's part is a closed form, so the power-log density of
+    # mix_atom_power is asked for each caller's full tolerance
+    m = load_builtin_measure("mix_atom_power")
+    for caller, (tol, densities) in _densities_asked(m, monkeypatch).items():
+        assert densities == [tol], caller
+
+
+def test_two_densities_share_every_kernel_integral(monkeypatch):
+    # carleson_integral too: each density gets half of its 1e-10, so the
+    # two parts together meet the tolerance its docstring states
+    m = measure_from_dict({"components": [
+        {"kind": "power_log", "c": 0.5, "gamma": 1.0},
+        {"kind": "table", "x": [0, 0.5, 0.8, 0.95], "v": [0.2, 1, 1.2, 0]}]})
+    for caller, (tol, densities) in _densities_asked(m, monkeypatch).items():
+        assert densities == [tol / 2, tol / 2], caller
+
+
+@settings(max_examples=40, deadline=None)
+@given(components=st.lists(_COMPONENTS, min_size=1, max_size=4))
+def test_the_densities_split_each_tolerance_equally(components):
+    m = measure_from_dict({"components": components})
+    count = sum(spec["kind"] != "point" for spec in components)
+    with pytest.MonkeyPatch.context() as mp:
+        asked = _densities_asked(m, mp, compute=False)
+    for caller, (tol, densities) in asked.items():
+        share = tol / count if count else tol
+        assert densities == [share] * count, caller
