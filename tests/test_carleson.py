@@ -43,7 +43,7 @@ from cesarops.measure import (
     measure_to_dict,
     moments,
 )
-from cesarops.quadrature import QuadratureError, gauss_rule, integrate_adaptive
+from cesarops.quadrature import _W, _X, QuadratureError, integrate_adaptive
 
 
 # -------------------------------------------------------------- trend label
@@ -308,13 +308,13 @@ def test_deep_probe_tolerance_follows_the_integral(monkeypatch, catalog):
     # Its tolerance was once 1e-10 times the mass times the kernel's
     # supremum, up to 2**36 times the integral, which admitted any value.
     # The tolerance in force is 1e-10 times the root estimate, which the
-    # spy takes again from the coarse root panels.
-    xs, ws = gauss_rule(16)
+    # spy takes again from the K31 root panels.
     in_force = []
 
     def spy(f, a, b, *, tol, breakpoints=(), **kw):
         cuts = [a] + sorted(x for x in set(breakpoints) if a < x < b) + [b]
-        root = sum((hi - lo) * np.dot(ws, f(lo + (hi - lo) * xs))
+        root = sum(0.5 * (hi - lo) * np.dot(_W[0], f(0.5 * (lo + hi)
+                                                   + 0.5 * (hi - lo) * _X))
                    for lo, hi in zip(cuts[:-1], cuts[1:]))
         res = integrate_adaptive(f, a, b, tol=tol, breakpoints=breakpoints,
                                  **kw)

@@ -605,14 +605,14 @@ def test_besov_norm_of_a_complex_series_at_large_p():
 
 
 @pytest.mark.parametrize("p, j, degree, radii", [
-    (1.5, 1, 64, 96), (1.5, 2, 128, 96), (1.5, 3, 256, 96),
-    (3.0, 1, 64, 96), (3.0, 2, 128, 96), (3.0, 3, 256, 160)])
+    (1.5, 1, 64, 62), (1.5, 2, 128, 62), (1.5, 3, 256, 62),
+    (3.0, 1, 64, 62), (3.0, 2, 128, 124), (3.0, 3, 256, 124)])
 def test_besov_root_panels_are_the_size_and_take_each_radius_once(
         p, j, degree, radii):
-    # The coarse panels of the two root segments, which scale the
-    # quadrature's tolerance, are sampled with their halves in one
-    # integrand call: each radius reaches the means once, and a run that
-    # settles on the root level costs 32 + 64 radii.
+    # The K31 panels of the two root segments, which scale the
+    # quadrature's tolerance and estimate their own error, are sampled in
+    # one integrand call: each radius reaches the means once, and a run
+    # that settles on the root level costs 2 * 31 radii, one split 62 more.
     f = make_test_function(1.0 - 2.0 ** -j, p, degree)
     means, seen = norms._power_means, []
 
