@@ -193,11 +193,15 @@ def _scaled(value, *powers) -> float:
 
 def carleson_quotient(m: RadialMeasure, t: float,
                       params: CarlesonParams) -> float:
-    """The defining quotient ``tail * log(e/(1-t))**alpha / (1-t)**s``."""
+    """The defining quotient ``tail * log(e/(1-t))**alpha / (1-t)**s``,
+    taken through :func:`_scaled` when ``(1-t)**s`` underflows to 0."""
     if not 0.0 <= t < 1.0:
         raise ValueError("carleson_quotient requires t in [0, 1)")
-    return (_scaled(tail(m, t), (_log_factor(t), params.alpha))
-            / (1.0 - t) ** params.s)
+    value = _scaled(tail(m, t), (_log_factor(t), params.alpha))
+    scale = (1.0 - t) ** params.s
+    if scale == 0.0:
+        return _scaled(value, (1.0 - t, -params.s))
+    return value / scale
 
 
 def trend_label(values) -> TrendFit:

@@ -127,7 +127,12 @@ class PowerLogDensity:
 
     def _cutoff(self, decay, prefactor):
         """Upper u-cutoff with tail mass prefactor*exp(-decay*U)/decay below
-        _MASS_CUT; a cutoff beyond _MAX_CUT raises QuadratureError."""
+        _MASS_CUT; a prefactor (the kernel bound) beyond the float range or
+        a cutoff beyond _MAX_CUT raises QuadratureError."""
+        if not math.isfinite(prefactor):
+            raise QuadratureError(
+                "power_log component has no u-cutoff: the kernel bound %g "
+                "is beyond the float range" % prefactor)
         scale = max(prefactor * max(self.c, 1.0) / decay, 1e-30)
         u = max(math.log(scale / _MASS_CUT) / decay, 4.0)
         if u > _MAX_CUT:

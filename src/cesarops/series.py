@@ -18,9 +18,14 @@ derivative counterpart) so the two routes can be compared numerically.
 Horner's scheme at ``|x| <= rho`` drops the tail ``k >= K`` once
 ``sum_{k>=K} |a_k| rho**k <= 2**-53 sum_k |a_k| rho**k``, below its own
 rounding bound ``gamma_2n sum_k |a_k| |x|**k`` (Higham 2002, section 5.1);
-:func:`evaluate` runs it over the kept terms.  The integral route keeps the
-same terms at ``rho = |z|``, but needs ``f(tz)`` only on the ray of real
-``t`` in [0, 1), where ``f(tz) = sum_k d_k t**k`` with ``d_k = a_k z**k``.
+:func:`evaluate` runs it over the kept terms.  The cut costs ``O(K)`` logs
+and exps, not one per coefficient: ``rho**P sum_k |a_k|`` bounds the
+weights from ``k = P`` on, and past a ``P`` where that bound is below
+``2**-93`` of the first nonzero weight, the rest cannot move the cut.
+
+The integral route keeps the same terms at ``rho = |z|``, but needs
+``f(tz)`` only on the ray of real ``t`` in [0, 1), where
+``f(tz) = sum_k d_k t**k`` with ``d_k = a_k z**k``.
 One table of ``t**k``, built by repeated multiplication so that
 ``fl(t**k)`` is within ``(k-1) u`` of ``t**k``, and one sum over ``k``
 against the columns ``d`` give all the nodes of a quadrature level at once,
@@ -105,22 +110,47 @@ def _check_domain(z):
         raise ValueError("evaluation point not finite or |z| > 1 - 2**-40")
 
 
+#: a certified prefix leaves out less than ``2**-93`` of its largest
+#: weight, 40 bits below the ``2**-53`` that decides the cut
+_LOG_MARGIN = 93 * math.log(2.0)
+
+
 def _horner_terms(c, rho):
     """Shortest prefix ``c[:K]``, ``K >= 1``, whose dropped tail is at most
     ``2**-53 sum_k |c_k| rho**k``, summed in units of the largest term.
+
+    The weights ``|c_k| rho**k`` from ``k = P`` on sum to at most
+    ``rho**P sum_k |c_k|``, a bound with no ``log`` or ``exp``.  ``P`` is
+    the first ``k`` where it falls below ``2**-93`` times the first nonzero
+    weight, so below ``2**-93`` of the largest weight of ``c[:P]``; the
+    logarithms, the exponentials and the tail sums run over ``c[:P]`` alone.
+    What they leave out is under ``2**-40`` of the cut's threshold, below
+    the last bit of a tail sum near it, so ``K`` is the cut of the sums
+    over all of ``c`` unless such a sum rounds that close to the
+    threshold.  They run over all of ``c`` when ``rho = 0``, when ``c`` is
+    zero, when ``sum_k |c_k|`` overflows, or when ``P`` exceeds
+    ``c.size``.
 
     A term below ``tiny = sys.float_info.min`` times the largest is taken
     as zero without its ``exp``, which would be subnormal and slow.  All
     of them together weigh less than ``c.size * tiny``, far below the
     ``2**-53`` that decides the cut, so the kept prefix does not change."""
-    with np.errstate(divide="ignore"):
-        logw = np.log(np.abs(c))
-        logw[1:] += np.arange(1, c.size) * np.log(rho)
+    mags = np.abs(c)
+    with np.errstate(divide="ignore", over="ignore"):
+        total = mags.sum()
+        size = c.size
+        if 0.0 < rho < 1.0 and 0.0 < total < math.inf:
+            first = int((mags > 0.0).argmax())
+            log_first = math.log(mags[first]) + first * math.log(rho)
+            need = (log_first - _LOG_MARGIN - math.log(total)) / math.log(rho)
+            size = min(c.size, max(first + 1, math.ceil(need)))
+        logw = np.log(mags[:size])
+        logw[1:] += np.arange(1, size) * np.log(rho)
     top = logw.max()
     if not top > -np.inf:
         return c[:1]
     logw -= top
-    weights = np.exp(logw, where=logw > _LOG_TINY, out=np.zeros(c.size))
+    weights = np.exp(logw, where=logw > _LOG_TINY, out=np.zeros(size))
     tail = np.cumsum(weights[::-1])[::-1]
     return c[:1 + np.count_nonzero(tail[1:] > 2.0 ** -53 * tail[0])]
 
@@ -135,14 +165,20 @@ def evaluate(f: PowerSeries, z):
     return complex(vals) if np.isscalar(z) or zarr.ndim == 0 else vals
 
 
-def derivative(f: PowerSeries) -> PowerSeries:
-    if f.degree == 0:
-        return PowerSeries(np.zeros(1))
+def _derivative_coeffs(c):
+    """Coefficients of ``f'`` from those of ``f``; refused when they overflow
+    the float range."""
+    if c.size == 1:
+        return np.zeros(1)
     with np.errstate(over="ignore"):
-        coeffs = f.coeffs[1:] * np.arange(1, f.coeffs.size)
+        coeffs = c[1:] * np.arange(1, c.size)
     if not np.isfinite(coeffs).all():
         raise ValueError("the derivative overflows the float range")
-    return PowerSeries(coeffs)
+    return coeffs
+
+
+def derivative(f: PowerSeries) -> PowerSeries:
+    return PowerSeries(_derivative_coeffs(f.coeffs))
 
 
 def partial_sums(f: PowerSeries) -> np.ndarray:
@@ -247,7 +283,7 @@ def cesaro_like_derivative_eval(m: RadialMeasure, f: PowerSeries,
     two columns against one power table on the ray.
     """
     z = _ray_point(z)
-    terms = _ray_terms((derivative(f).coeffs, f.coeffs), z)
+    terms = _ray_terms((_derivative_coeffs(f.coeffs), f.coeffs), z)
 
     def kernel(t):
         frac = 1.0 / (1.0 - t * z)

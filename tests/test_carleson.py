@@ -122,6 +122,22 @@ def test_quotient_domain_is_half_open(catalog):
         carleson_quotient(catalog["lebesgue"], -0.1, params)
 
 
+def test_quotient_whose_power_underflows_is_taken_in_logarithms(catalog):
+    # (1 - t)**80 = 2**-1120 underflows to 0 at t = 1 - 2**-14; the
+    # quotient of a tail (1 - t)**10 / 10 is still 2**980 / 10
+    t = 1.0 - 2.0 ** -14
+    m = RadialMeasure((PowerLogDensity(1.0, 10.0),))
+    params = CarlesonParams(80.0)
+    assert carleson_quotient(m, t, params) == pytest.approx(
+        2.0 ** 980 / 10.0, rel=1e-12)
+    assert carleson_quotient(catalog["lebesgue"], t, params) == math.inf
+    assert carleson_quotient(catalog["atom09"], t, params) == 0.0
+    # a power in the float range keeps the division
+    params = CarlesonParams(70.0)
+    assert carleson_quotient(m, t, params) == (measure.tail(m, t)
+                                               / (1.0 - t) ** 70.0)
+
+
 def test_tail_classification_closed_forms(catalog):
     params = CarlesonParams(1.0, 0.0)
     res = classify_tail(catalog["lebesgue"], params)
@@ -267,6 +283,16 @@ def test_kernel_bound_beyond_the_float_range_is_refused():
     res = integral_profile(m, params)
     assert res.label == LABEL_INCONCLUSIVE and res.values == ()
     assert "u-cutoff" in res.note
+
+
+def test_kernel_bound_beyond_the_float_range_is_named_in_the_note():
+    # gamma = 3 decays fast; the cutoff fails because (1 - rho)**-80.75
+    # overflows, and the note says so rather than blaming the decay
+    m = RadialMeasure((PowerLogDensity(1.0, 3.0),))
+    res = integral_profile(m, CarlesonParams(1.0, 0.0, 80.0, 0.25))
+    assert res.label == LABEL_INCONCLUSIVE and res.values == ()
+    assert "u-cutoff" in res.note and "kernel bound inf" in res.note
+    assert "float range" in res.note and "decay" not in res.note
 
 
 @settings(max_examples=40, deadline=None)

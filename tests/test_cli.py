@@ -154,6 +154,21 @@ def test_classify_with_a_refused_lead_probe_keeps_an_empty_ladder(
                for key in ("slope", "peak", "terminal"))
 
 
+@pytest.mark.parametrize("name, labels", [
+    ("lebesgue", ["diverging"] * 3),
+    ("power_two", ["diverging"] * 3),
+    # two integral probes read diverging and one vanishing
+    ("atom09", ["vanishing", "vanishing", "inconclusive"]),
+])
+def test_classify_at_s_80_reads_quotients_past_the_power_underflow(
+        capsys, name, labels):
+    # (1 - t)**80 underflows at t = 1 - 2**-14; that was a division by
+    # zero (exit 3)
+    code, out, err = run(capsys, "classify", "--measure", name, "--s", "80")
+    assert code == 0, err
+    assert list(json.loads(out)["per_criterion"].values()) == labels
+
+
 def test_classify_ladder_csv(capsys, tmp_path):
     target = tmp_path / "ladders.csv"
     code, out, _ = run(capsys, "classify", "--measure", "atom09",

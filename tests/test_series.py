@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cesarops import measure as measure_module
+from cesarops import series as series_module
 from cesarops.measure import moments
 from cesarops.norms import (_half_circle, _mean_squares, besov_norm,
                             bloch_norm, mean_lipschitz_norm)
@@ -314,6 +315,79 @@ def test_horner_cut_of_the_log_series_keeps_the_prefix(rho):
     assert below > 2000 if rho < 0.9 else below == 0
     assert np.array_equal(_horner_terms(c, rho),
                           _unmasked_horner_terms(c, rho))
+
+
+@st.composite
+def _long_series(draw):
+    """Up to 2**14 terms: magnitudes spread up to 1e308, or growing like
+    ``1.05**k`` below 1e308; real or complex; a zero prefix of random
+    length, all of the series at most; a radius in [0, MAX_ABS_Z]."""
+    n = draw(st.integers(0, 2 ** 14 - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        exps = rng.uniform(-300.0, 308.0, n + 1)
+    else:
+        exps = np.minimum(rng.uniform(-300.0, 300.0)
+                          + np.arange(n + 1) * math.log10(1.05), 308.0)
+    c = rng.choice([-1.0, 1.0], n + 1) * 10.0 ** exps + 0j
+    if draw(st.booleans()):
+        c *= np.exp(2j * np.pi * rng.random(n + 1))
+    c[:draw(st.integers(0, n + 1))] = 0.0
+    rho = draw(st.one_of(st.sampled_from([0.0, 0.5, 0.95, MAX_ABS_Z]),
+                         st.floats(0.0, MAX_ABS_Z)))
+    return c, rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(_long_series())
+def test_certified_horner_cut_is_the_cut_over_all_terms(case):
+    # the cut sums over a prefix certified by rho**P sum |c_k|; sums of
+    # 1e308 magnitudes overflow and take the full pass
+    c, rho = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _horner_terms(c, rho)
+    assert np.array_equal(got, _unmasked_horner_terms(c, rho))
+
+
+def _route_series():
+    """The three series of the integral-route benchmark and their
+    derivatives, at degree 4096."""
+    k = np.arange(1, 4098)
+    noise = np.random.default_rng(1).standard_normal((2, k.size))
+    series = [log_series(4096), make_test_function(0.9, 2.0, 4096),
+              PowerSeries((noise[0] + 1j * noise[1]) / (math.sqrt(2.0) * k))]
+    return series + [derivative(f) for f in series]
+
+
+def test_certified_horner_cut_on_the_route_series():
+    for f in _route_series():
+        for rho in np.linspace(0.0, 0.95, 99):
+            assert np.array_equal(_horner_terms(f.coeffs, rho),
+                                  _unmasked_horner_terms(f.coeffs, rho))
+
+
+def test_derivative_route_takes_the_coefficients_of_derivative(
+        monkeypatch):
+    columns = []
+
+    def spy(cols, z):
+        columns.append(cols[0])
+        return _ray_terms(cols, z)
+
+    monkeypatch.setattr(series_module, "_ray_terms", spy)
+    # a complex series whose derivative is real: derivative() stores f'
+    # as float64, the route keeps the complex column, with the same values
+    cases = _route_series()[:3] + [PowerSeries([1j, 2.0, -3.0]),
+                                   PowerSeries([4.0])]
+    for f in cases:
+        columns.clear()
+        cesaro_like_derivative_eval(_KernelTap(), f, 0.5j)
+        (got,) = columns
+        want = derivative(f).coeffs
+        assert got.shape == want.shape
+        assert np.array_equal(bits(got.real), bits(want.real))
+        assert np.array_equal(bits(got.imag), bits(want.imag))
 
 
 @st.composite
